@@ -140,6 +140,10 @@ class WriteLog:
         """
         return (container, key) in self._entries
 
+    def pending(self, container: str, key: str) -> LoggedWrite | None:
+        """The logged mutation awaiting replay for (container, key), if any."""
+        return self._entries.get((container, key))
+
     def drain(self) -> list[LoggedWrite]:
         """Remove and return all pending writes in log order.
 

@@ -20,7 +20,6 @@ helpers provided here.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import math
 import os
@@ -346,53 +345,12 @@ class RepairResult:
         return not self.skipped_pending and not self.skipped_unreachable
 
 
-def _public_op(method):
-    """Exception safety for public operations.
-
-    A failing operation (e.g. :class:`DataUnavailable` when outages exceed
-    fault tolerance) must not leave the per-op accumulator armed, or every
-    later call would be rejected as "nested"."""
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        try:
-            return method(self, *args, **kwargs)
-        except BaseException as exc:
-            self._acc = None
-            self._abort_op_span()
-            # A ClientCrash models the process dying mid-op: nothing else
-            # client-side runs, so the journal intent stays *pending* (the
-            # evidence recovery consumes) and no failure is recorded.
-            crashed = isinstance(exc, ClientCrash)
-            ctx = self._jctx
-            self._jctx = None
-            if (
-                not crashed
-                and ctx is not None
-                and ctx.seq is not None
-                and self.journal is not None
-            ):
-                # Clean failure with the client alive: keep the intent,
-                # flagged aborted, so recovery GCs whatever landed.
-                self.journal.mark_aborted(ctx.seq)
-                self._publish_journal_gauges()
-            if self.slo is not None and not crashed:
-                self.slo.record_failure(
-                    method.__name__.lstrip("_"),
-                    self.clock.now,
-                    tenant=self._op_tenant,
-                )
-            raise
-
-    return wrapper
-
-
 @dataclass
 class _JournalCtx:
     """Journal context for the mutating public op currently in flight.
 
-    Armed by :meth:`Scheme._journal_arm` at op entry with what is known
-    there (kind, path, previous entry, redo payload); the placement plan —
+    Armed by :meth:`Scheme._journal_arm` once the op knows its kind, path,
+    previous entry and redo payload; the placement plan —
     and with it the actual :class:`~repro.fs.journal.WriteIntent` — is
     filled in by :meth:`Scheme._journal_plan` just before the first
     fragment put, once the write helper knows sites and thresholds.
@@ -419,6 +377,15 @@ class _OpAcc:
     transfer_time: float = 0.0
     retries: int = 0
     hedged: bool = False
+    #: the armed journal context (mutating ops with a journal attached)
+    journal: _JournalCtx | None = None
+    #: set by :meth:`Scheme._op` once the op completed cleanly
+    report: OpReport | None = None
+
+    @property
+    def intent(self) -> int | None:
+        """Seq of the journal intent this op recorded, once planned."""
+        return None if self.journal is None else self.journal.seq
 
 
 class Scheme(ABC):
@@ -475,7 +442,6 @@ class Scheme(ABC):
         self.collector = LatencyCollector(registry=self.registry)
         if self.tracer.enabled:
             self.tracer.meta(scheme=self.name, seed=seed)
-        self._op_span = None
         if resilience is None:
             resilience = ResilienceConfig()
             if self.transient_retries != 2:
@@ -540,7 +506,6 @@ class Scheme(ABC):
         #: :meth:`attach_journal`; None (the default) keeps the write path
         #: byte-identical to a journal-free build
         self.journal: IntentJournal | None = None
-        self._jctx: _JournalCtx | None = None
         #: optional :class:`repro.faults.crash.CrashSchedule` — see
         #: :meth:`install_crash_schedule`
         self._crash: CrashSchedule | None = None
@@ -688,15 +653,6 @@ class Scheme(ABC):
             return False
         breaker = self._breakers.get(name)
         return breaker is None or breaker.would_allow(self.clock.now)
-
-    def _is_stale(self, provider: str, container: str, key: str) -> bool:
-        """True when the provider missed writes to this key during an outage."""
-        log = self._write_logs.get(provider)
-        if not log:
-            return False
-        return any(
-            e.container == container and e.key == key for e in log.peek()
-        )
 
     @staticmethod
     def _delayed(spec: TransferSpec, extra: float) -> TransferSpec:
@@ -962,7 +918,7 @@ class Scheme(ABC):
 
         # Feed observed latency into the health trackers: the ratio against
         # the clean expectation is what surfaces brownouts to the client.
-        # Hedge legs defer this to the race winner (see _hedged_replicated_get).
+        # Hedge legs defer this to the race winner (see _hedged_fetch).
         if record_latency:
             self._feed_latency(outcomes)
 
@@ -1060,8 +1016,12 @@ class Scheme(ABC):
 
     def _note_write_log(self, provider: str) -> None:
         """Publish one logged mutation and the provider's pending depth."""
-        log = self._write_logs[provider]
         self.registry.counter("write_log_entries_total", provider=provider).inc()
+        self._publish_write_log(provider)
+
+    def _publish_write_log(self, provider: str) -> None:
+        """Set the provider's write-log gauges to what its log still owes."""
+        log = self._write_logs[provider]
         self.registry.gauge("write_log_pending", provider=provider).set(len(log))
         self.registry.gauge("writelog_pending_bytes", provider=provider).set(
             log.pending_bytes()
@@ -1097,12 +1057,7 @@ class Scheme(ABC):
                 else:
                     inherited.log_remove(e.container, e.key, e.logged_at)
             self._write_logs[name] = inherited
-            self.registry.gauge("write_log_pending", provider=name).set(
-                len(inherited)
-            )
-            self.registry.gauge("writelog_pending_bytes", provider=name).set(
-                inherited.pending_bytes()
-            )
+            self._publish_write_log(name)
 
     def heal_returned(self) -> list[OpReport]:
         """Replay write logs of every provider that has come back.
@@ -1119,14 +1074,11 @@ class Scheme(ABC):
             reports.append(self._heal_one(name, log))
         return reports
 
-    @_public_op
     def _heal_one(self, name: str, log: WriteLog) -> OpReport:
         """Standalone consistency update with its own ``heal`` report."""
-        self._begin_op()
-        self._heal_phase(name, log)
-        report = self._end_op("heal", f"provider:{name}")
-        self.collector.add(report)
-        return report
+        with self._op("heal", f"provider:{name}") as op:
+            self._heal_phase(name, log)
+        return op.report
 
     def _heal_phase(self, name: str, log: WriteLog) -> None:
         """Replay one provider's write log inside the current accounting.
@@ -1181,14 +1133,7 @@ class Scheme(ABC):
             self.registry.counter("heal_replayed_total", provider=name).inc(replayed)
         # A replay that failed partway re-logs the unreplayed tail, so the
         # pending gauges reflect whatever is still owed after this pass.
-        self.registry.gauge("write_log_pending", provider=name).set(len(log))
-        self.registry.gauge("writelog_pending_bytes", provider=name).set(
-            log.pending_bytes()
-        )
-        if log.memory_limit_bytes is not None:
-            self.registry.gauge("writelog_spilled_bytes", provider=name).set(
-                log.spilled_bytes()
-            )
+        self._publish_write_log(name)
 
     def _heal_before_touching(self, providers: set[str]) -> None:
         """Consistency-update any returned-but-stale provider we are about to use."""
@@ -1200,38 +1145,60 @@ class Scheme(ABC):
                 else:
                     self._heal_one(name, log)
 
-    # ------------------------------------------------------ report plumbing
-    def _begin_op(self) -> None:
+    # ----------------------------------------------------------- op envelope
+    @contextlib.contextmanager
+    def _op(self, kind: str, path: str):
+        """Run the block as one accounted operation: ``kind`` on ``path``.
+
+        Every operation that emits an :class:`OpReport` — the public API,
+        heals, promotions, repairs, GC and recovery — goes through here, so
+        its lifecycle is written once: the nested-op guard, the
+        :class:`_OpAcc` the phases accumulate into, the tracer's root span
+        (every request / retry / heal span recorded inside nests under
+        it), the journal intent's commit or abort, the report handed to the
+        collector, and the SLO tracker and load observatory.  Yields the
+        accumulator; its ``report`` is set once the block exits cleanly.
+
+        A raising block (e.g. :class:`DataUnavailable` when outages exceed
+        fault tolerance) leaves nothing armed: the span closes as
+        ``op.error``, the journal intent stays flagged aborted so recovery
+        GCs whatever landed, and the SLO counts the failure under the same
+        ``kind`` a success reports.  A :class:`ClientCrash` models the
+        process dying mid-op: nothing else client-side runs, so the intent
+        stays *pending* (the evidence recovery consumes) and no failure is
+        recorded.
+        """
         if self._acc is not None:
             raise RuntimeError("nested scheme operations are not supported")
-        self._acc = _OpAcc(t0=self.clock.now)
-        if self.tracer.enabled:
-            # Root span for this operation: opened now so every request /
-            # retry / heal span recorded inside nests under it; named and
-            # closed by _end_op once the op kind is known.
-            self._op_span = self.tracer.span("op")
-            self._op_span.__enter__()
-
-    def _mark_degraded(self) -> None:
-        if self._acc is not None:
-            self._acc.degraded = True
-
-    def _abort_op_span(self) -> None:
-        """Close a dangling root span when a public op raises."""
-        span = self._op_span
+        acc = self._acc = _OpAcc(t0=self.clock.now)
+        span = self.tracer.span("op") if self.tracer.enabled else None
         if span is not None:
-            self._op_span = None
-            span.record.name = "op.error"
-            span.record.set(outcome="error")
-            span.__exit__(None, None, None)
-
-    def _end_op(self, op: str, path: str) -> OpReport:
-        acc = self._acc
-        if acc is None:
-            raise RuntimeError("_end_op without _begin_op")
+            span.__enter__()
+        try:
+            yield acc
+        except BaseException as exc:
+            self._acc = None
+            if span is not None:
+                span.record.name = "op.error"
+                span.record.set(outcome="error")
+                span.__exit__(None, None, None)
+            if not isinstance(exc, ClientCrash):
+                if acc.intent is not None:
+                    self.journal.mark_aborted(acc.intent)
+                    self._publish_journal_gauges()
+                if self.slo is not None:
+                    self.slo.record_failure(
+                        kind, self.clock.now, tenant=self._op_tenant
+                    )
+            raise
+        if acc.intent is not None:
+            # The op published its namespace entry: fulfil the intent.
+            self.journal.commit(acc.intent)
+            self.registry.counter("journal_commits_total").inc()
+            self._publish_journal_gauges()
         self._acc = None
         report = OpReport(
-            op=op,
+            op=kind,
             path=path,
             elapsed=self.clock.now - acc.t0,
             bytes_up=acc.bytes_up,
@@ -1245,17 +1212,15 @@ class Scheme(ABC):
             hedged=acc.hedged,
             tenant=self._op_tenant,
         )
-        span = self._op_span
         trace_id = None
         if span is not None:
-            self._op_span = None
             trace_id = span.record.span_id
             # The root span carries the full OpReport so a JSON-lines trace
             # is self-contained: RunReport.from_trace rebuilds the report
             # stream from these attributes alone.
-            span.record.name = f"op.{op}"
+            span.record.name = f"op.{kind}"
             span.record.set(
-                op=op,
+                op=kind,
                 path=path,
                 elapsed=report.elapsed,
                 bytes_up=report.bytes_up,
@@ -1277,7 +1242,12 @@ class Scheme(ABC):
             self.slo.record_op(report, self.clock.now)
         if self.observatory is not None:
             self.observatory.on_op(report, trace_id)
-        return report
+        self.collector.add(report)
+        acc.report = report
+
+    def _mark_degraded(self) -> None:
+        if self._acc is not None:
+            self._acc.degraded = True
 
     # ----------------------------------------------------- placement helpers
     def _fragment_key(self, path: str, index: int, version: int) -> str:
@@ -1369,46 +1339,54 @@ class Scheme(ABC):
         Ranking is health-adaptive (a browned-out replica loses its
         preferred slot) and, when
         :attr:`~repro.core.resilience.ResilienceConfig.hedge_reads` is on
-        and two candidates exist, a backup request fires at the next-ranked
-        replica once the primary overruns its estimated p95 latency — the
-        first intact response wins.
+        and two candidates exist, the read is a 1-of-2 :meth:`_hedged_fetch`:
+        a backup request fires at the next-ranked replica once the primary
+        overruns its estimated p95 latency — the first intact response wins.
         """
         key = f"{key_base}#v{version}"
         ranked = self._rank_providers(list(providers), size, "down", adaptive=True)
-        degraded = False
         last_error: Exception | None = None
 
-        candidates = [
-            n
-            for n in ranked
-            if self._provider_usable(n)
-            and not self._is_stale(n, self.container, key)
-        ]
+        def usable(name: str) -> bool:
+            return self._provider_usable(name) and not self._write_logs[
+                name
+            ].has_pending(self.container, key)
+
+        def intact(_slot: int, data) -> bool:
+            return digest is None or self._verify_digest(key, data, digest)
+
+        candidates = [n for n in ranked if usable(n)]
         degraded = len(candidates) < len(ranked)
         if self.resilience.hedge_reads and len(candidates) >= 2:
-            hedged = self._hedged_replicated_get(key, size, candidates, digest)
-            if hedged is not None:
-                data, hedge_degraded = hedged
-                degraded = degraded or hedge_degraded
+            primary, backup = candidates[0], candidates[1]
+            cfg = self.resilience
+            factor = cfg.hedge_min_delay_factor
+            health = self.health.get(primary)
+            if health is not None:
+                factor = max(health.p95_slowdown(cfg.hedge_quantile_dev), factor)
+            won, hedge_degraded, _ = self._hedged_fetch(
+                {0: CloudOp(primary, "get", self.container, key)},
+                0,
+                (1, CloudOp(backup, "get", self.container, key)),
+                self._estimate_latency(primary, size, "down") * factor,
+                intact,
+            )
+            degraded = degraded or hedge_degraded
+            if won is not None:
                 if degraded:
                     self._mark_degraded()
-                return data, degraded
+                return next(iter(won.values())), degraded
             # Both hedge legs failed; fall back to the remaining replicas.
-            degraded = True
             candidates = candidates[2:]
 
         for name in candidates:
-            if not self._provider_usable(name) or self._is_stale(
-                name, self.container, key
-            ):
+            if not usable(name):
                 degraded = True
                 continue
             phase = self._run_phase([CloudOp(name, "get", self.container, key)])
             outcome = phase.outcomes[0]
             if outcome.ok and outcome.data is not None:
-                if digest is not None and not self._verify_digest(
-                    key, outcome.data, digest
-                ):
+                if not intact(0, outcome.data):
                     degraded = True  # corrupt copy: fall through to the next
                     continue
                 if degraded:
@@ -1421,102 +1399,117 @@ class Scheme(ABC):
             key_base, f"no intact replica reachable on {providers}{detail}"
         )
 
-    def _hedged_replicated_get(
-        self, key: str, size: int, candidates: list[str], digest: str | None
-    ) -> tuple[bytes, bool] | None:
-        """Primary request plus a delayed backup; first intact response wins.
+    def _hedged_fetch(
+        self,
+        legs: dict[int, CloudOp],
+        gating: int,
+        backup: tuple[int, CloudOp],
+        delay: float,
+        verified,
+        scheduled: bool = False,
+    ) -> tuple[dict[int, bytes] | None, bool, dict[int, OpOutcome]]:
+        """Race the ``legs`` subset against a backup leg standing in for
+        ``legs[gating]``; the first complete subset serves.
 
-        Models request hedging on the sim clock: the primary phase runs
-        without advancing time; if its response would land after the hedge
-        trigger delay (estimated p95 for this transfer) — or it failed — the
-        backup fires and the clock advances to the *winner's* finish.  The
-        loser is cancelled, so its wire time is never waited on, but both
-        requests were issued: providers metered both, and both count as
-        cloud ops (hedging's real cost).
+        Replication is the 1-of-n case of a k-of-n read: a replicated read
+        races one primary against a backup fired ``delay`` seconds later
+        (its estimated p95); a scheduler-hedged striped read races k
+        fragments against a backup fragment fired at once (``delay=0``).
+        Request hedging on the sim clock: every leg runs without advancing
+        time; unless all legs answered intact within ``delay``, the backup
+        fires — at once when a leg visibly failed — and the clock advances
+        to the *winner's* finish.  The loser is cancelled, so its wire time
+        is never waited on, but every request was issued: providers metered
+        them all, and all count as cloud ops (hedging's real cost).  Only
+        outcomes that were waited on feed the health EWMAs; the cancelled
+        leg's wire time is recorded as hedge waste.
 
-        Returns ``(data, degraded)`` or ``None`` when both legs failed.
+        ``verified(index, data)`` checks a fetched payload.  Returns
+        ``(winners, degraded, outcomes)``: ``winners`` maps index -> data of
+        the subset that completed first, or is None when neither did (the
+        clock then waited out both legs and health saw nothing — the caller
+        owns that fallback); ``degraded`` is True unless the read was
+        served without any leg failing; ``outcomes`` holds every leg's
+        outcome, the backup's last.
         """
-        primary, backup = candidates[0], candidates[1]
-        cfg = self.resilience
-        factor = cfg.hedge_min_delay_factor
-        health = self.health.get(primary)
-        if health is not None:
-            factor = max(health.p95_slowdown(cfg.hedge_quantile_dev), factor)
-        hedge_delay = self._estimate_latency(primary, size, "down") * factor
 
-        # Both legs run with record_latency=False: only the race *winner's*
-        # latency may feed the health EWMAs.  The loser is cancelled at the
+        def good(i: int, o: OpOutcome) -> bool:
+            return o.ok and o.data is not None and verified(i, o.data)
+
+        # Legs run with record_latency=False: the loser is cancelled at the
         # winner's finish, so its completion time is counterfactual — feeding
-        # it would poison health ranking (and hedge against a browned-out
-        # backup would mark the backup slow for latency nobody waited on).
-        p_phase = self._run_phase(
-            [CloudOp(primary, "get", self.container, key)],
-            advance=False,
-            record_latency=False,
+        # it would poison health ranking.
+        main = self._run_phase(
+            list(legs.values()), advance=False, record_latency=False
         )
-        p = p_phase.outcomes[0]
-        p_ok = (
-            p.ok
-            and p.data is not None
-            and (digest is None or self._verify_digest(key, p.data, digest))
-        )
-        if p_ok and p_phase.elapsed <= hedge_delay:
-            if p_phase.elapsed > 0:
-                self.clock.advance(p_phase.elapsed)
-            self._feed_latency(p_phase.outcomes)
-            return p.data, False
+        outcomes = dict(zip(legs, main.outcomes))
+        main_good = all(good(i, o) for i, o in outcomes.items())
+        if main_good and main.elapsed <= delay:
+            # Answered before the trigger: the backup never fires.
+            if main.elapsed > 0:
+                self.clock.advance(main.elapsed)
+            self._feed_latency(main.outcomes)
+            return {i: o.data for i, o in outcomes.items()}, False, outcomes
 
-        # Primary is slow, failed or corrupt: fire the backup.  A detected
-        # failure releases the hedge immediately; a silently slow primary
-        # only releases it at the trigger delay.
+        b_index, b_op = backup
         self.collector.bump("hedged_reads")
+        if scheduled:
+            self.registry.counter("sched_hedges_total").inc()
         if self._acc is not None:
             self._acc.hedged = True
         if self.tracer.enabled:
             self.tracer.event(
-                "hedge.fired", primary=primary, backup=backup, delay=hedge_delay
+                "hedge.fired",
+                primary=legs[gating].provider,
+                backup=b_op.provider,
+                delay=delay,
             )
-        backup_start = hedge_delay if p_ok else min(hedge_delay, p_phase.elapsed)
-        # span_offset places the backup leg's trace span and observatory
-        # arrival at the sim time the leg actually fired, not the phase start.
+        # A detected failure releases the hedge immediately; a silently slow
+        # leg only releases it at the trigger delay.  span_offset places the
+        # backup leg's trace span and observatory arrival at the sim time it
+        # actually fired, not the phase start.
+        start = delay if main_good else min(delay, main.elapsed)
         b_phase = self._run_phase(
-            [CloudOp(backup, "get", self.container, key)],
-            advance=False,
-            record_latency=False,
-            span_offset=backup_start,
+            [b_op], advance=False, record_latency=False, span_offset=start
         )
-        b = b_phase.outcomes[0]
-        b_ok = (
-            b.ok
-            and b.data is not None
-            and (digest is None or self._verify_digest(key, b.data, digest))
-        )
-        b_finish = backup_start + b_phase.elapsed
-
-        if p_ok and (not b_ok or p_phase.elapsed <= b_finish):
-            if p_phase.elapsed > 0:
-                self.clock.advance(p_phase.elapsed)
-            self._feed_latency(p_phase.outcomes)
-            # The backup was on the wire from backup_start until the primary
-            # answered; that slice is wasted provider work, not latency.
-            self._note_hedge_waste(b, max(0.0, p_phase.elapsed - backup_start))
-            return p.data, False
-        if b_ok:
+        b = outcomes[b_index] = b_phase.outcomes[0]
+        b_done = start + b_phase.elapsed
+        others = [i for i in legs if i != gating]
+        b_good = good(b_index, b)
+        if main_good or (b_good and all(good(i, outcomes[i]) for i in others)):
+            alt_done = (
+                max(max((outcomes[i].finish for i in others), default=0.0), b_done)
+                if b_good
+                else math.inf
+            )
+            if main_good and main.elapsed <= alt_done:
+                # The legs answered first: a normal read, the backup
+                # cancelled at their finish.
+                if main.elapsed > 0:
+                    self.clock.advance(main.elapsed)
+                self._feed_latency(main.outcomes)
+                self._note_hedge_waste(b, max(0.0, main.elapsed - start))
+                return {i: outcomes[i].data for i in legs}, False, outcomes
+            # The backup's subset completed first (or the gating leg failed
+            # outright): serve around the gating leg.
             self.collector.bump("hedge_wins")
+            if scheduled:
+                self.registry.counter("sched_hedge_wins_total").inc()
             if self.tracer.enabled:
-                self.tracer.event("hedge.win", provider=backup)
-            if b_finish > 0:
-                self.clock.advance(b_finish)
-            self._feed_latency(b_phase.outcomes)
-            self._note_hedge_waste(p, b_finish)
-            # Degraded only when the primary actually failed — a hedge that
-            # merely outran a slow-but-healthy primary is a normal read.
-            return b.data, not p_ok
-        # Both legs failed: charge the time burned finding out.
-        lost = max(p_phase.elapsed, b_finish)
+                self.tracer.event("hedge.win", provider=b_op.provider)
+            if alt_done > 0:
+                self.clock.advance(alt_done)
+            won = [*others, b_index]
+            self._feed_latency([outcomes[i] for i in won])
+            self._note_hedge_waste(outcomes[gating], alt_done)
+            # Degraded only when a leg actually failed — a backup that merely
+            # outran a slow-but-healthy leg is a normal read.
+            return {i: outcomes[i].data for i in won}, not main_good, outcomes
+        # No subset won: charge the time burned finding out.
+        lost = max(main.elapsed, b_done)
         if lost > 0:
             self.clock.advance(lost)
-        return None
+        return None, True, outcomes
 
     def _encode_fragments(
         self, codec: ErasureCodec, data: bytes
@@ -1595,12 +1588,16 @@ class Scheme(ABC):
         if len(by_index) < codec.k:
             raise DataUnavailable(key_base, "placement lost too many fragments")
 
+        def fetch(idx: int) -> CloudOp:
+            key = self._fragment_key(key_base, idx, version)
+            return CloudOp(by_index[idx], "get", self.container, key)
+
         def usable(idx: int) -> bool:
             prov = by_index[idx]
             key = self._fragment_key(key_base, idx, version)
-            return self._provider_usable(prov) and not self._is_stale(
-                prov, self.container, key
-            )
+            return self._provider_usable(prov) and not self._write_logs[
+                prov
+            ].has_pending(self.container, key)
 
         def verified(idx: int, data: bytes) -> bool:
             if digests is None or idx >= len(digests):
@@ -1633,22 +1630,34 @@ class Scheme(ABC):
                 key_base,
                 f"only {len(chosen)} of {codec.k} required fragments reachable",
             )
-        fragments: dict[int, bytes] = {}
-        rejected: set[int] = set()
+        won = None
         if decision is not None and decision.hedge is not None:
-            fragments, rejected, hedge_degraded = self._striped_hedged_fetch(
-                key_base, version, by_index, chosen, decision.hedge, verified
+            # Capacity-aware hedging (see :mod:`repro.core.scheduling`): the
+            # scheduler already decided the gating provider's estimated queue
+            # wait exceeds the backup's wire+decode cost, so both legs fire
+            # at once and the first complete k-subset serves.
+            hedge = decision.hedge
+            won, hedge_degraded, outcomes = self._hedged_fetch(
+                {i: fetch(i) for i in chosen},
+                hedge.gating,
+                (hedge.backup, fetch(hedge.backup)),
+                0.0,
+                verified,
+                scheduled=True,
             )
             degraded = degraded or hedge_degraded
+            if won is None:
+                # A non-gating fragment failed or was corrupt: no subset
+                # won.  Both legs were waited out, so both feed health.
+                self._feed_latency(list(outcomes.values()))
         else:
-            ops = [
-                CloudOp(
-                    by_index[i], "get", self.container, self._fragment_key(key_base, i, version)
-                )
-                for i in chosen
-            ]
-            phase = self._run_phase(ops)
-            for idx, outcome in zip(chosen, phase.outcomes):
+            phase = self._run_phase([fetch(i) for i in chosen])
+            outcomes = dict(zip(chosen, phase.outcomes))
+        fragments: dict[int, bytes] = won if won is not None else {}
+        rejected: set[int] = set()
+        if won is None:
+            # Keep every intact fragment; the top-up below recovers the rest.
+            for idx, outcome in outcomes.items():
                 if outcome.ok and outcome.data is not None:
                     if verified(idx, outcome.data):
                         fragments[idx] = outcome.data
@@ -1667,17 +1676,7 @@ class Scheme(ABC):
             while len(fragments) < codec.k and remaining:
                 need = codec.k - len(fragments)
                 batch, remaining = remaining[:need], remaining[need:]
-                retry = self._run_phase(
-                    [
-                        CloudOp(
-                            by_index[i],
-                            "get",
-                            self.container,
-                            self._fragment_key(key_base, i, version),
-                        )
-                        for i in batch
-                    ]
-                )
+                retry = self._run_phase([fetch(i) for i in batch])
                 for i, outcome in zip(batch, retry.outcomes):
                     data = outcome.data
                     if outcome.ok and data is not None and verified(i, data):
@@ -1840,125 +1839,6 @@ class Scheme(ABC):
                 ),
             )
 
-    def _striped_hedged_fetch(
-        self,
-        key_base: str,
-        version: int,
-        by_index: dict[int, str],
-        chosen: list[int],
-        hedge,
-        verified,
-    ) -> tuple[dict[int, bytes], set[int], bool]:
-        """Fetch ``chosen`` fragments plus a concurrent backup fragment;
-        advance the clock only to the winning subset's finish.
-
-        Capacity-aware hedging (see :mod:`repro.core.scheduling`): the
-        scheduler already decided the gating provider's estimated queue
-        wait exceeds the backup's wire+decode cost, so both legs fire at
-        once and the first complete k-subset serves.  Mirrors
-        :meth:`_hedged_replicated_get`'s accounting — only outcomes that
-        were actually waited on feed the health EWMAs; the cancelled leg's
-        wire time is recorded as hedge waste.
-
-        Returns ``(fragments, rejected, degraded)``; a failed or corrupt
-        fetch falls back to merged bookkeeping and lets the caller's top-up
-        loop finish the read.
-        """
-        gating, backup = hedge.gating, hedge.backup
-        main = self._run_phase(
-            [
-                CloudOp(
-                    by_index[i],
-                    "get",
-                    self.container,
-                    self._fragment_key(key_base, i, version),
-                )
-                for i in chosen
-            ],
-            advance=False,
-            record_latency=False,
-        )
-        self.collector.bump("hedged_reads")
-        self.registry.counter("sched_hedges_total").inc()
-        if self._acc is not None:
-            self._acc.hedged = True
-        if self.tracer.enabled:
-            self.tracer.event(
-                "hedge.fired",
-                primary=by_index[gating],
-                backup=by_index[backup],
-                delay=0.0,
-            )
-        b_phase = self._run_phase(
-            [
-                CloudOp(
-                    by_index[backup],
-                    "get",
-                    self.container,
-                    self._fragment_key(key_base, backup, version),
-                )
-            ],
-            advance=False,
-            record_latency=False,
-        )
-        b = b_phase.outcomes[0]
-        outcomes = dict(zip(chosen, main.outcomes))
-
-        def good(i: int, o) -> bool:
-            return o.ok and o.data is not None and verified(i, o.data)
-
-        main_good = all(good(i, o) for i, o in outcomes.items())
-        others_good = all(good(i, o) for i, o in outcomes.items() if i != gating)
-        b_good = good(backup, b)
-        if main_good or (b_good and others_good):
-            others = max(
-                (o.finish for i, o in outcomes.items() if i != gating),
-                default=0.0,
-            )
-            main_done = main.elapsed
-            alt_done = max(others, b_phase.elapsed) if b_good else math.inf
-            if main_good and main_done <= alt_done:
-                # The chosen subset answered first: normal read, backup leg
-                # cancelled at the winner's finish.
-                if main_done > 0:
-                    self.clock.advance(main_done)
-                self._feed_latency(main.outcomes)
-                self._note_hedge_waste(b, main_done)
-                return {i: o.data for i, o in outcomes.items()}, set(), False
-            # The backup subset completed first (or the gating fragment
-            # failed outright): decode around the gating provider.
-            self.collector.bump("hedge_wins")
-            self.registry.counter("sched_hedge_wins_total").inc()
-            if self.tracer.enabled:
-                self.tracer.event("hedge.win", provider=by_index[backup])
-            if alt_done > 0:
-                self.clock.advance(alt_done)
-            self._feed_latency(
-                [o for i, o in outcomes.items() if i != gating] + [b]
-            )
-            self._note_hedge_waste(outcomes[gating], alt_done)
-            fragments = {i: o.data for i, o in outcomes.items() if i != gating}
-            fragments[backup] = b.data
-            # Degraded only when the gating fragment actually failed — a
-            # backup that merely outran a queued provider is a normal read.
-            return fragments, set(), not main_good
-        # A non-gating fragment failed or was corrupt: no subset won.  Wait
-        # out both legs, keep every intact fragment, and let the top-up
-        # logic recover — same degraded semantics as the unhedged path.
-        done = max(main.elapsed, b_phase.elapsed)
-        if done > 0:
-            self.clock.advance(done)
-        self._feed_latency(main.outcomes)
-        self._feed_latency(b_phase.outcomes)
-        fragments, rejected = {}, set()
-        for i, o in [*outcomes.items(), (backup, b)]:
-            if o.ok and o.data is not None:
-                if verified(i, o.data):
-                    fragments[i] = o.data
-                else:
-                    rejected.add(i)
-        return fragments, rejected, True
-
     def _rank_providers_by_index(
         self, by_index: dict[int, str], size: int, codec: ErasureCodec
     ) -> list[int]:
@@ -2014,19 +1894,14 @@ class Scheme(ABC):
         # Journal the redo image before the group write scatters: a crash
         # mid-persist can tear a striped group beyond k-of-n reconstruction,
         # and recovery then reads this copy instead (see recover_namespace).
-        if (
-            self.journal is not None
-            and self._jctx is not None
-            and self._jctx.seq is not None
-        ):
-            self.journal.attach_meta(self._jctx.seq, directory, blob)
+        if self._acc is not None and self._acc.intent is not None:
+            self.journal.attach_meta(self._acc.intent, directory, blob)
         # Metadata groups are identified by key alone (no version suffix):
         # the newest write wins, exactly like the paper's metadata updates.
+        self._heal_before_touching(set(targets))
         if codec is None:
-            self._heal_before_touching(set(targets))
             ops = [CloudOp(p, "put", self.container, key_base, blob) for p in targets]
         else:
-            self._heal_before_touching(set(targets))
             fragments = self._encode_fragments(codec, blob)
             ops = [
                 CloudOp(p, "put", self.container, f"{key_base}.{i}", fragments[i])
@@ -2067,9 +1942,9 @@ class Scheme(ABC):
     def _read_replicated_meta(self, key: str, providers: list[str]) -> None:
         ranked = self._rank_providers(list(providers), 0, "down", adaptive=True)
         for name in ranked:
-            if not self._provider_usable(name) or self._is_stale(
-                name, self.container, key
-            ):
+            if not self._provider_usable(name) or self._write_logs[
+                name
+            ].has_pending(self.container, key):
                 self._mark_degraded()
                 continue
             phase = self._run_phase([CloudOp(name, "get", self.container, key)])
@@ -2091,7 +1966,9 @@ class Scheme(ABC):
             i
             for i in order
             if self._provider_usable(by_index[i])
-            and not self._is_stale(by_index[i], self.container, f"{key_base}.{i}")
+            and not self._write_logs[by_index[i]].has_pending(
+                self.container, f"{key_base}.{i}"
+            )
         ]
         if any(i not in usable for i in order[: codec.k]):
             self._mark_degraded()
@@ -2105,7 +1982,6 @@ class Scheme(ABC):
         self._run_phase(ops)
 
     # ------------------------------------------------- namespace recovery
-    @_public_op
     def recover_namespace(self) -> OpReport:
         """Rebuild the in-client namespace from the cloud metadata groups.
 
@@ -2117,46 +1993,45 @@ class Scheme(ABC):
         Returns a ``recover`` report; afterwards :attr:`namespace` holds
         every file a previous client persisted metadata for.
         """
-        self._begin_op()
-        codec = self._meta_codec()
-        targets = self._meta_write_targets()
-        # Consistency-update any returned-but-stale metadata provider first:
-        # a replica that missed group writes during an outage must not serve
-        # the recovery read (its blob predates the writes its log owes).
-        self._heal_before_touching(set(targets))
-        group_keys = self._list_meta_group_keys(targets, striped=codec is not None)
-        for base_key in sorted(group_keys):
-            directory = base_key[len("__meta__"):]
-            fallback = self._journaled_meta_blob(directory)
-            try:
-                blob = self._fetch_meta_blob(base_key, codec, targets)
-            except ValueError:
-                # Torn striped group: a crash mid-persist left fragments of
-                # two generations and no k-subset decodes.  The pending
-                # intent journaled the redo image — the one consistent copy.
-                if fallback is None:
-                    raise
-                blob = fallback
-            if blob is None:
-                blob = fallback
-            if blob is None:
-                continue
-            try:
-                entries = self.meta.apply_group(blob)
-            except ValueError:
-                # Same tear, subtler face: equal-length mixed fragments
-                # decode into bytes that are not a metadata group.
-                if fallback is None or fallback == blob:
-                    raise
-                blob = fallback
-                entries = self.meta.apply_group(blob)
-            if entries:
-                self._meta_sizes[directory] = len(blob)
-                self.meta.touch(directory)
-        self._after_namespace_recovery()
-        report = self._end_op("recover", "namespace")
-        self.collector.add(report)
-        return report
+        with self._op("recover", "namespace") as op:
+            codec = self._meta_codec()
+            targets = self._meta_write_targets()
+            # Consistency-update any returned-but-stale metadata provider
+            # first: a replica that missed group writes during an outage must
+            # not serve the recovery read (its blob predates what its log owes).
+            self._heal_before_touching(set(targets))
+            group_keys = self._list_meta_group_keys(targets, striped=codec is not None)
+            for base_key in sorted(group_keys):
+                directory = base_key[len("__meta__"):]
+                fallback = self._journaled_meta_blob(directory)
+                try:
+                    blob = self._fetch_meta_blob(base_key, codec, targets)
+                except ValueError:
+                    # Torn striped group: a crash mid-persist left fragments
+                    # of two generations and no k-subset decodes.  The pending
+                    # intent journaled the redo image — the one consistent
+                    # copy.
+                    if fallback is None:
+                        raise
+                    blob = fallback
+                if blob is None:
+                    blob = fallback
+                if blob is None:
+                    continue
+                try:
+                    entries = self.meta.apply_group(blob)
+                except ValueError:
+                    # Same tear, subtler face: equal-length mixed fragments
+                    # decode into bytes that are not a metadata group.
+                    if fallback is None or fallback == blob:
+                        raise
+                    blob = fallback
+                    entries = self.meta.apply_group(blob)
+                if entries:
+                    self._meta_sizes[directory] = len(blob)
+                    self.meta.touch(directory)
+            self._after_namespace_recovery()
+        return op.report
 
     def _after_namespace_recovery(self) -> None:
         """Hook for schemes that keep per-object client state (NCCloud)."""
@@ -2221,9 +2096,9 @@ class Scheme(ABC):
         """
         if codec is None:
             for name in self._rank_providers(list(targets), 0, "down"):
-                if not self.provider(name).is_available() or self._is_stale(
-                    name, self.container, base_key
-                ):
+                if not self.provider(name).is_available() or self._write_logs[
+                    name
+                ].has_pending(self.container, base_key):
                     continue
                 phase = self._run_phase(
                     [CloudOp(name, "get", self.container, base_key)]
@@ -2236,14 +2111,12 @@ class Scheme(ABC):
         for i, name in enumerate(targets):
             if len(fragments) >= codec.k:
                 break
-            if self._is_stale(name, self.container, f"{base_key}.{i}"):
-                # The provider's stored fragment predates the pending logged
-                # write; the logged payload is the current one.
-                pending = self._logged_payload(name, f"{base_key}.{i}")
-                if pending is not None:
-                    fragments[i] = pending
-                continue
-            if not self.provider(name).is_available():
+            if self._write_logs[name].has_pending(
+                self.container, f"{base_key}.{i}"
+            ) or not self.provider(name).is_available():
+                # A stale provider's stored fragment predates the pending
+                # logged write, and a down one serves nothing: the logged
+                # payload, if any, is the current fragment.
                 pending = self._logged_payload(name, f"{base_key}.{i}")
                 if pending is not None:
                     fragments[i] = pending
@@ -2264,134 +2137,119 @@ class Scheme(ABC):
 
     def _newest_logged_meta(self, key: str, targets: list[str]) -> bytes | None:
         """Most recently logged (unreplayed) publish of a replicated group."""
-        best: tuple[float, bytes] | None = None
-        for name in targets:
-            log = self._write_logs.get(name)
-            if not log:
-                continue
-            for e in log.peek():
-                if (
-                    e.kind == "put"
-                    and e.container == self.container
-                    and e.key == key
-                    and e.data is not None
-                    and (best is None or e.logged_at >= best[0])
-                ):
-                    best = (e.logged_at, e.data)
-        return None if best is None else best[1]
+        logged = (self._write_logs[n].pending(self.container, key) for n in targets)
+        puts = [e for e in logged if e is not None and e.kind == "put"]
+        if not puts:
+            return None
+        # Ties go to the later target, as they would in a scan of targets.
+        return max(reversed(puts), key=lambda e: e.logged_at).data
 
     # ------------------------------------------------------------ public API
-    @_public_op
     def put(self, path: str, data: bytes) -> OpReport:
         """Create or overwrite a whole file."""
         path = normalize_path(path)
-        self._begin_op()
-        prev = self.namespace.lookup(path)
-        data = bytes(data)
-        self._journal_arm("put", path, prev, data)
-        entry = self._put_file(path, data, prev)
-        self.namespace.upsert(entry)
-        if prev is not None and self._placement_changed(prev, entry):
-            self._remove_stale_fragments(prev)
-        self._persist_metadata(dirname(path))
-        self._journal_commit()
-        report = self._end_op("put", path)
-        self.collector.add(report)
-        return report
+        with self._op("put", path) as op:
+            self._publish(path, bytes(data), self.namespace.lookup(path))
+        return op.report
 
-    @_public_op
     def get(self, path: str) -> tuple[bytes, OpReport]:
         """Read a whole file (degraded reconstruction during outages)."""
         path = normalize_path(path)
-        self._begin_op()
-        self._fetch_metadata(dirname(path))
-        entry = self.namespace.get(path)
-        data, _degraded = self._read_file(entry)
-        if not isinstance(data, bytes):
-            data = bytes(data)  # materialize zero-copy buffers at the API edge
-        self.namespace.upsert(entry.touched())
-        report = self._end_op("get", path)
-        self.collector.add(report)
-        if len(data) != entry.size:
-            raise AssertionError(
-                f"scheme returned {len(data)} bytes for {path}, expected {entry.size}"
-            )
-        return data, report
+        with self._op("get", path) as op:
+            self._fetch_metadata(dirname(path))
+            entry = self.namespace.get(path)
+            data, _degraded = self._read_file(entry)
+            if not isinstance(data, bytes):
+                data = bytes(data)  # materialize zero-copy buffers at the API edge
+            if len(data) != entry.size:
+                raise AssertionError(
+                    f"scheme returned {len(data)} bytes for {path}, expected {entry.size}"
+                )
+            self.namespace.upsert(entry.touched())
+        return data, op.report
 
-    @_public_op
     def update(self, path: str, offset: int, patch: bytes) -> OpReport:
         """Partial write at ``offset`` (the paper's small-update case)."""
         path = normalize_path(path)
         if offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
-        self._begin_op()
-        entry = self.namespace.get(path)
-        old = self._peek_content(entry)
-        new_size = max(entry.size, offset + len(patch))
-        buf = bytearray(new_size)
-        buf[: entry.size] = old
-        buf[offset : offset + len(patch)] = patch
-        new_content = bytes(buf)
-        self._journal_arm("update", path, entry, new_content)
-        new_entry = self._update_file(entry, offset, patch, new_content)
-        self.namespace.upsert(new_entry)
-        if self._placement_changed(entry, new_entry):
-            self._remove_stale_fragments(entry)
-        self._persist_metadata(dirname(path))
-        self._journal_commit()
-        report = self._end_op("update", path)
-        self.collector.add(report)
-        return report
+        with self._op("update", path) as op:
+            entry = self.namespace.get(path)
+            old = self._peek_content(entry)
+            new_size = max(entry.size, offset + len(patch))
+            buf = bytearray(new_size)
+            buf[: entry.size] = old
+            buf[offset : offset + len(patch)] = patch
+            self._publish(path, bytes(buf), entry, patch=(offset, patch))
+        return op.report
 
-    @_public_op
     def remove(self, path: str) -> OpReport:
         """Delete a file everywhere."""
         path = normalize_path(path)
-        self._begin_op()
-        entry = self.namespace.remove(path)
-        self._journal_arm("remove", path, entry, None)
-        # Removes know their plan up front: the keys being deleted.  A
-        # crashed remove always rolls forward (the client already acked
-        # nothing, and half-deleted redundancy is worthless).
-        codec = self._codec_for(entry)
-        self._journal_plan(
-            version=entry.version,
-            codec_name=entry.codec,
-            replicated=codec is None,
-            min_needed=0,
-            sites=tuple(
-                (prov, self._placement_storage_key(entry, idx, codec is None))
-                for prov, idx in entry.placements
-            ),
-        )
-        self._payload_cache.discard(f"{entry.path}#v{entry.version}")
-        self._remove_file(entry)
-        self._persist_metadata(dirname(path))
-        self._journal_commit()
-        report = self._end_op("remove", path)
-        self.collector.add(report)
-        return report
+        with self._op("remove", path) as op:
+            entry = self.namespace.remove(path)
+            self._journal_arm("remove", path, entry, None)
+            # Removes know their plan up front: the keys being deleted.  A
+            # crashed remove always rolls forward (the client already acked
+            # nothing, and half-deleted redundancy is worthless).
+            codec = self._codec_for(entry)
+            self._journal_plan(
+                version=entry.version,
+                codec_name=entry.codec,
+                replicated=codec is None,
+                min_needed=0,
+                sites=tuple(
+                    (prov, self._placement_storage_key(entry, idx, codec is None))
+                    for prov, idx in entry.placements
+                ),
+            )
+            self._payload_cache.discard(f"{entry.path}#v{entry.version}")
+            self._remove_file(entry)
+            self._persist_metadata(dirname(path))
+        return op.report
 
-    @_public_op
     def stat(self, path: str) -> tuple[FileEntry, OpReport]:
         """Metadata lookup (the access type dominating real workloads)."""
         path = normalize_path(path)
-        self._begin_op()
-        self._fetch_metadata(dirname(path))
-        entry = self.namespace.get(path)
-        report = self._end_op("stat", path)
-        self.collector.add(report)
-        return entry, report
+        with self._op("stat", path) as op:
+            self._fetch_metadata(dirname(path))
+            entry = self.namespace.get(path)
+        return entry, op.report
 
-    @_public_op
     def listdir(self, directory: str) -> tuple[list[str], OpReport]:
         """Directory listing through the metadata group."""
-        self._begin_op()
-        self._fetch_metadata(directory if directory == "/" else normalize_path(directory))
-        names = self.namespace.list_dir(directory)
-        report = self._end_op("list", directory)
-        self.collector.add(report)
-        return names, report
+        with self._op("list", directory) as op:
+            self._fetch_metadata(
+                directory if directory == "/" else normalize_path(directory)
+            )
+            names = self.namespace.list_dir(directory)
+        return names, op.report
+
+    def _publish(
+        self,
+        path: str,
+        data: bytes,
+        prev: FileEntry | None,
+        patch: tuple[int, bytes] | None = None,
+    ) -> None:
+        """Make ``data`` the new content of ``path`` inside the current op.
+
+        The one publish sequence every content-changing op shares: arm the
+        journal, write the placement (:meth:`_put_file`, or
+        :meth:`_update_file` for a ``patch`` at an offset), flip the
+        namespace entry, GC the superseded placement, then write the
+        directory's metadata group through.  The op envelope commits the
+        journal intent once the op returns.
+        """
+        self._journal_arm("put" if patch is None else "update", path, prev, data)
+        if patch is None:
+            entry = self._put_file(path, data, prev)
+        else:
+            entry = self._update_file(prev, patch[0], patch[1], data)
+        self.namespace.upsert(entry)
+        if prev is not None and self._placement_changed(prev, entry):
+            self._remove_stale_fragments(prev)
+        self._persist_metadata(dirname(path))
 
     # ------------------------------------------------- content introspection
     def _peek_content(self, entry: FileEntry) -> bytes:
@@ -2425,13 +2283,9 @@ class Scheme(ABC):
         return codec.decode(fragments, entry.size)
 
     def _logged_payload(self, provider: str, key: str) -> bytes | None:
-        log = self._write_logs.get(provider)
-        if not log:
-            return None
-        for e in log.peek():
-            if e.container == self.container and e.key == key and e.kind == "put":
-                return e.data
-        return None
+        """Payload of ``key``'s pending logged put to ``provider``, if any."""
+        e = self._write_logs[provider].pending(self.container, key)
+        return e.data if e is not None and e.kind == "put" else None
 
     @staticmethod
     def _placement_changed(old: FileEntry, new: FileEntry) -> bool:
@@ -2538,9 +2392,8 @@ class Scheme(ABC):
         payload: bytes | None,
     ) -> None:
         """Open the journal context for the mutating op now in flight."""
-        if self.journal is None:
-            return
-        self._jctx = _JournalCtx(kind=kind, path=path, prev=prev, payload=payload)
+        if self.journal is not None:
+            self._acc.journal = _JournalCtx(kind, path, prev, payload)
 
     def _journal_plan(
         self,
@@ -2558,8 +2411,8 @@ class Scheme(ABC):
         that follows the data write reuses the same helpers, and must not
         journal a second intent.
         """
-        ctx = self._jctx
-        if ctx is None or ctx.seq is not None or self.journal is None:
+        ctx = self._acc.journal if self._acc is not None else None
+        if ctx is None or ctx.seq is not None:
             return
         intent = self.journal.begin(
             kind=ctx.kind,
@@ -2575,16 +2428,6 @@ class Scheme(ABC):
         )
         ctx.seq = intent.seq
         self.registry.counter("journal_intents_total", op=ctx.kind).inc()
-        self._publish_journal_gauges()
-
-    def _journal_commit(self) -> None:
-        """The op published its namespace entry: fulfil the intent."""
-        ctx = self._jctx
-        self._jctx = None
-        if ctx is None or ctx.seq is None or self.journal is None:
-            return
-        self.journal.commit(ctx.seq)
-        self.registry.counter("journal_commits_total").inc()
         self._publish_journal_gauges()
 
     def _publish_journal_gauges(self) -> None:
@@ -2699,17 +2542,15 @@ class Scheme(ABC):
 
     def _rollback_intent(self, intent) -> None:
         """Restore the pre-op namespace entry and republish its group."""
-        self._begin_op()
-        if intent.prev is not None:
-            self.namespace.upsert(intent.prev)
-        else:
-            try:
-                self.namespace.remove(intent.path)
-            except FileNotFoundError:
-                pass
-        self._persist_metadata(dirname(intent.path))
-        report = self._end_op("recover", intent.path)
-        self.collector.add(report)
+        with self._op("recover", intent.path):
+            if intent.prev is not None:
+                self.namespace.upsert(intent.prev)
+            else:
+                try:
+                    self.namespace.remove(intent.path)
+                except FileNotFoundError:
+                    pass
+            self._persist_metadata(dirname(intent.path))
 
     def _extra_expected_keys(self) -> set[str]:
         """Scheme-private storage keys the orphan sweep must not touch."""
@@ -2745,38 +2586,36 @@ class Scheme(ABC):
             name = p.name
             if not p.is_available():
                 continue
-            self._begin_op()
-            phase = self._run_phase([CloudOp(name, "list", self.container)])
-            outcome = phase.outcomes[0]
-            keys = (
-                outcome.data.decode().split("\n")
-                if outcome.ok and outcome.data
-                else []
-            )
-            log = self._write_logs.get(name)
-            orphans = [
-                k
-                for k in keys
-                if k
-                and not is_group_key(k)
-                and k not in expected
-                and not (log is not None and log.has_pending(self.container, k))
-            ]
-            if orphans and plane is not None and plane.orphans is not None:
-                for k in orphans:
-                    plane.orphans.enqueue(name, self.container, k)
-            elif orphans:
-                phase = self._run_phase(
-                    [CloudOp(name, "remove", self.container, k) for k in orphans]
+            with self._op("recover", f"orphan-sweep:{name}"):
+                phase = self._run_phase([CloudOp(name, "list", self.container)])
+                outcome = phase.outcomes[0]
+                keys = (
+                    outcome.data.decode().split("\n")
+                    if outcome.ok and outcome.data
+                    else []
                 )
-                ok = sum(1 for o in phase.outcomes if o.ok)
-                if ok:
-                    removed[name] = ok
-                    self.registry.counter(
-                        "orphan_gc_removed_total", provider=name
-                    ).inc(ok)
-            report = self._end_op("recover", f"orphan-sweep:{name}")
-            self.collector.add(report)
+                log = self._write_logs[name]
+                orphans = [
+                    k
+                    for k in keys
+                    if k
+                    and not is_group_key(k)
+                    and k not in expected
+                    and not log.has_pending(self.container, k)
+                ]
+                if orphans and plane is not None and plane.orphans is not None:
+                    for k in orphans:
+                        plane.orphans.enqueue(name, self.container, k)
+                elif orphans:
+                    phase = self._run_phase(
+                        [CloudOp(name, "remove", self.container, k) for k in orphans]
+                    )
+                    ok = sum(1 for o in phase.outcomes if o.ok)
+                    if ok:
+                        removed[name] = ok
+                        self.registry.counter(
+                            "orphan_gc_removed_total", provider=name
+                        ).inc(ok)
         return removed
 
     def _placement_storage_key(self, entry: FileEntry, idx: int, replicated: bool) -> str:
@@ -2795,7 +2634,6 @@ class Scheme(ABC):
         """Intact placements required to reconstruct ``entry``'s payload."""
         return 1 if codec is None else codec.k
 
-    @_public_op
     def verify_object(self, path: str, deep: bool = True) -> ObjectAudit:
         """Audit every placement of ``path`` (one ``scrub`` op).
 
@@ -2808,12 +2646,8 @@ class Scheme(ABC):
         All traffic is charged like any other operation.
         """
         path = normalize_path(path)
-        self._begin_op()
-        entry = self.namespace.get(path)
-        audit = self._audit_entry(entry, deep)
-        report = self._end_op("scrub", path)
-        self.collector.add(report)
-        return audit
+        with self._op("scrub", path):
+            return self._audit_entry(self.namespace.get(path), deep)
 
     def _audit_entry(self, entry: FileEntry, deep: bool) -> ObjectAudit:
         """Audit one entry inside the current op accounting."""
@@ -2824,7 +2658,7 @@ class Scheme(ABC):
         probe_sites: list[tuple[str, int, str]] = []
         for prov, idx in entry.placements:
             key = self._placement_storage_key(entry, idx, replicated)
-            if self._is_stale(prov, self.container, key):
+            if self._write_logs[prov].has_pending(self.container, key):
                 findings.append(VerifyFinding(entry.path, prov, key, "stale", idx))
             elif not self._provider_usable(prov):
                 findings.append(
@@ -2870,7 +2704,6 @@ class Scheme(ABC):
             min_needed=min_needed,
         )
 
-    @_public_op
     def repair_object(self, path: str, audit: ObjectAudit | None = None) -> RepairResult:
         """Restore full redundancy for ``path`` (one ``repair`` op).
 
@@ -2893,91 +2726,67 @@ class Scheme(ABC):
         remain to reconstruct the payload (genuine data loss).
         """
         path = normalize_path(path)
-        self._begin_op()
-        entry = self.namespace.get(path)
-        if audit is None or audit.version != entry.version:
-            audit = self._audit_entry(entry, deep=True)
-        codec = self._codec_for(entry)
-        replicated = codec is None
-        targets: list[VerifyFinding] = []
-        skipped_pending: list[VerifyFinding] = []
-        skipped_unreachable: list[VerifyFinding] = []
-        for f in audit.findings:
-            if f.kind == "stale":
-                skipped_pending.append(f)
-                continue
-            if f.kind == "unreachable" or not self._provider_usable(f.provider):
-                skipped_unreachable.append(f)
-                continue
-            # Re-check at repair time: a foreground write may have landed in
-            # the provider's log between the scrub and this repair.
-            if self._write_logs[f.provider].has_pending(self.container, f.key):
-                skipped_pending.append(f)
-                continue
-            targets.append(f)
-        bytes_written = 0
-        if targets and self.repair_by_rewrite:
-            data, _degraded = self._read_file(entry)
-            up_before = self._acc.bytes_up
-            data = bytes(data)
-            self._journal_arm("put", path, entry, data)
-            new_entry = self._put_file(entry.path, data, entry)
-            self.namespace.upsert(new_entry)
-            if self._placement_changed(entry, new_entry):
-                self._remove_stale_fragments(entry)
-            self._persist_metadata(dirname(path))
-            self._journal_commit()
-            bytes_written = self._acc.bytes_up - up_before
-            repaired = tuple(targets)
-            # The rewrite supersedes the old version wholesale, pending
-            # write-log entries for it included.
-            skipped_pending = []
-            skipped_unreachable = []
-        elif targets:
-            data, _degraded = self._read_file(entry)
-            if replicated:
-                ops = [
-                    CloudOp(f.provider, "put", self.container, f.key, data)
-                    for f in targets
-                ]
-                phase = self._run_phase(ops)
-                bytes_written += phase.bytes_up
-                for f, outcome in zip(targets, phase.outcomes):
-                    if outcome.ok:
-                        self._record_digest(f.key, data)
-            else:
-                fragments = self._encode_fragments(codec, data)
-                ops = [
-                    CloudOp(
-                        f.provider,
-                        "put",
-                        self.container,
-                        f.key,
-                        fragments[f.fragment],
-                    )
-                    for f in targets
-                ]
-                phase = self._run_phase(ops)
-                bytes_written += phase.bytes_up
-                # The rewritten keys rebound to fresh buffers: the stale
-                # payload-cache entry must go before ids can be recycled.
-                self._payload_cache.discard(f"{entry.path}#v{entry.version}")
-                for f, outcome in zip(targets, phase.outcomes):
-                    if outcome.ok:
-                        self._record_digest(f.key, fragments[f.fragment])
-            # A put that failed mid-repair was write-logged by the phase and
-            # will land via the consistency update; it still counts as owed
-            # to that path, not to this repair.
-            repaired = tuple(
-                f for f, o in zip(targets, phase.outcomes) if o.ok
-            )
-            skipped_unreachable.extend(
-                f for f, o in zip(targets, phase.outcomes) if not o.ok
-            )
-        else:
+        with self._op("repair", path) as op:
+            entry = self.namespace.get(path)
+            if audit is None or audit.version != entry.version:
+                audit = self._audit_entry(entry, deep=True)
+            codec = self._codec_for(entry)
+            targets: list[VerifyFinding] = []
+            skipped_pending: list[VerifyFinding] = []
+            skipped_unreachable: list[VerifyFinding] = []
+            for f in audit.findings:
+                if f.kind == "stale":
+                    skipped_pending.append(f)
+                    continue
+                if f.kind == "unreachable" or not self._provider_usable(f.provider):
+                    skipped_unreachable.append(f)
+                    continue
+                # Re-check at repair time: a foreground write may have landed
+                # in the provider's log between the scrub and this repair.
+                if self._write_logs[f.provider].has_pending(self.container, f.key):
+                    skipped_pending.append(f)
+                    continue
+                targets.append(f)
+            bytes_written = 0
             repaired = ()
-        report = self._end_op("repair", path)
-        self.collector.add(report)
+            if targets:
+                data, _degraded = self._read_file(entry)
+            if targets and self.repair_by_rewrite:
+                up_before = op.bytes_up
+                self._publish(path, bytes(data), entry)
+                bytes_written = op.bytes_up - up_before
+                repaired = tuple(targets)
+                # The rewrite supersedes the old version wholesale, pending
+                # write-log entries for it included.
+                skipped_pending = []
+                skipped_unreachable = []
+            elif targets:
+                if codec is None:
+                    payloads = [data] * len(targets)
+                else:
+                    fragments = self._encode_fragments(codec, data)
+                    payloads = [fragments[f.fragment] for f in targets]
+                phase = self._run_phase(
+                    [
+                        CloudOp(f.provider, "put", self.container, f.key, payload)
+                        for f, payload in zip(targets, payloads)
+                    ]
+                )
+                bytes_written = phase.bytes_up
+                if codec is not None:
+                    # The rewritten keys rebound to fresh buffers: the stale
+                    # payload-cache entry must go before ids can be recycled.
+                    self._payload_cache.discard(f"{entry.path}#v{entry.version}")
+                for f, payload, outcome in zip(targets, payloads, phase.outcomes):
+                    if outcome.ok:
+                        self._record_digest(f.key, payload)
+                # A put that failed mid-repair was write-logged by the phase
+                # and will land via the consistency update; it still counts
+                # as owed to that path, not to this repair.
+                repaired = tuple(f for f, o in zip(targets, phase.outcomes) if o.ok)
+                skipped_unreachable.extend(
+                    f for f, o in zip(targets, phase.outcomes) if not o.ok
+                )
         return RepairResult(
             path=path,
             repaired=repaired,
@@ -2986,7 +2795,6 @@ class Scheme(ABC):
             bytes_written=bytes_written,
         )
 
-    @_public_op
     def migrate_object(self, path: str) -> OpReport:
         """Re-place one object under the scheme's *current* placement policy.
 
@@ -2998,21 +2806,11 @@ class Scheme(ABC):
         mid-migration leaves the old (intact) version authoritative.
         """
         path = normalize_path(path)
-        self._begin_op()
-        entry = self.namespace.get(path)
-        data, _degraded = self._read_file(entry)
-        if not isinstance(data, bytes):
-            data = bytes(data)
-        self._journal_arm("put", path, entry, data)
-        new_entry = self._put_file(path, data, entry)
-        self.namespace.upsert(new_entry)
-        if self._placement_changed(entry, new_entry):
-            self._remove_stale_fragments(entry)
-        self._persist_metadata(dirname(path))
-        self._journal_commit()
-        report = self._end_op("migrate", path)
-        self.collector.add(report)
-        return report
+        with self._op("migrate", path) as op:
+            entry = self.namespace.get(path)
+            data, _degraded = self._read_file(entry)
+            self._publish(path, bytes(data), entry)
+        return op.report
 
     # --------------------------------------------------------------- queries
     def stored_bytes_by_provider(self) -> dict[str, int]:

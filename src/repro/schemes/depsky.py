@@ -99,9 +99,9 @@ class DepSkyScheme(Scheme):
         ranked = self._rank_providers(list(entry.providers), entry.size, "down")
         degraded = False
         for name in ranked:
-            if not self.provider(name).is_available() or self._is_stale(
-                name, self.container, key
-            ):
+            if not self.provider(name).is_available() or self._write_logs[
+                name
+            ].has_pending(self.container, key):
                 degraded = True
                 continue
             probes = [

@@ -165,10 +165,8 @@ class DepSkyCAScheme(Scheme):
             i
             for i in order
             if self.provider(by_index[i]).is_available()
-            and not self._is_stale(
-                by_index[i],
-                self.container,
-                self._fragment_key(entry.path, i, entry.version),
+            and not self._write_logs[by_index[i]].has_pending(
+                self.container, self._fragment_key(entry.path, i, entry.version)
             )
         ]
         degraded = any(i not in usable for i in order[:need])

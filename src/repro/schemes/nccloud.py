@@ -14,6 +14,8 @@ compares against the decode-based repair of RACS.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
 from repro.erasure.codec import ErasureCodec
@@ -143,61 +145,48 @@ class NCCloudScheme(Scheme):
                 idx: prov for prov, idx in entry.placements if prov != failed
             }
             chunk_len = codec.fragment_size(entry.size) // max(codec.chunks_per_node, 1)
-            self._begin_op()
-            # Download one chunk per survivor.  The survivor computes the
-            # random combination server-side in NCCloud; our passive providers
-            # can't, so we fetch the fragment and charge only one chunk of it
-            # (the bytes that would cross the wire).
-            frags: dict[int, bytes] = {}
-            for idx, prov in sorted(survivors.items()):
-                store = self.provider(prov).store
-                key = self._fragment_key(path, idx, entry.version)
-                frags[idx] = store.get(self.container, key).data
-                self.provider(prov).meter.record_get(chunk_len, self.clock.now)
-            new_fragment, new_codec = codec.repair(frags, failed_idx, entry.size)
-            self._run_phase(
-                [
-                    CloudOp(
-                        target,
-                        "put",
-                        self.container,
-                        self._fragment_key(path, failed_idx, entry.version),
-                        new_fragment,
-                    )
+            with self._op("repair", path):
+                # Download one chunk per survivor.  The survivor computes the
+                # random combination server-side in NCCloud; our passive
+                # providers can't, so we fetch the fragment and charge only
+                # one chunk of it (the bytes that would cross the wire).
+                frags: dict[int, bytes] = {}
+                for idx, prov in sorted(survivors.items()):
+                    store = self.provider(prov).store
+                    key = self._fragment_key(path, idx, entry.version)
+                    frags[idx] = store.get(self.container, key).data
+                    self.provider(prov).meter.record_get(chunk_len, self.clock.now)
+                new_fragment, new_codec = codec.repair(frags, failed_idx, entry.size)
+                key = self._fragment_key(path, failed_idx, entry.version)
+                self._run_phase([CloudOp(target, "put", self.container, key, new_fragment)])
+                # Charge the downloaded chunks' wire time in one batch.
+                specs = [
+                    self.provider(prov).latency.download_spec(chunk_len, self.rng)
+                    for prov in survivors.values()
                 ]
-            )
-            # Charge the downloaded chunks' wire time in one batch.
-            specs = [
-                self.provider(prov).latency.download_spec(chunk_len, self.rng)
-                for prov in survivors.values()
-            ]
-            self.clock.advance(self.link.elapsed(downloads=specs))
-            self._codecs[path] = new_codec
-            # Functional repair rewrote the failed fragment with *different*
-            # bytes: refresh its digest (and placement, when relocated).
-            # The version must NOT change — every other fragment still lives
-            # under its original versioned key.
-            import dataclasses
-
-            new_placements = tuple(
-                (target if prov == failed else prov, idx)
-                for prov, idx in entry.placements
-            )
-            new_digests = entry.digests
-            if new_digests:
-                digest_list = list(new_digests)
-                digest_list[failed_idx] = self._digest(new_fragment)
-                new_digests = tuple(digest_list)
-            self.namespace.upsert(
-                dataclasses.replace(
-                    entry,
-                    placements=new_placements,
-                    digests=new_digests,
-                    modified=self.clock.now,
+                self.clock.advance(self.link.elapsed(downloads=specs))
+                self._codecs[path] = new_codec
+                # Functional repair rewrote the failed fragment with
+                # *different* bytes: refresh its digest (and placement, when
+                # relocated).  The version must NOT change — every other
+                # fragment still lives under its original versioned key.
+                new_placements = tuple(
+                    (target if prov == failed else prov, idx)
+                    for prov, idx in entry.placements
                 )
-            )
-            report = self._end_op("repair", path)
-            self.collector.add(report)
+                new_digests = entry.digests
+                if new_digests:
+                    digest_list = list(new_digests)
+                    digest_list[failed_idx] = self._digest(new_fragment)
+                    new_digests = tuple(digest_list)
+                self.namespace.upsert(
+                    replace(
+                        entry,
+                        placements=new_placements,
+                        digests=new_digests,
+                        modified=self.clock.now,
+                    )
+                )
             stats["objects"] += 1
             stats["bytes_downloaded"] += chunk_len * len(survivors)
             stats["bytes_uploaded"] += len(new_fragment)

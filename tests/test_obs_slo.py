@@ -9,6 +9,7 @@ from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.faults import FaultProfile, FlappingOutage
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.slo import IntervalLedger, SloConfig, SloTracker, op_class
+from repro.schemes import SingleCloudScheme
 from repro.sim.clock import SimClock
 
 
@@ -18,7 +19,7 @@ def ok_op(op, t, degraded=False):
 
 class TestOpClass:
     def test_read_write_partition(self):
-        assert {op_class(o) for o in ("get", "stat", "listdir")} == {"read"}
+        assert {op_class(o) for o in ("get", "stat", "list")} == {"read"}
         assert {op_class(o) for o in ("put", "update", "remove")} == {"write"}
 
     def test_repair_traffic_excluded(self):
@@ -237,6 +238,24 @@ class TestScheduledGroundTruth:
         for t in range(0, 600):
             in_window = any(a <= t < b for a, b in windows)
             assert flapper.is_out(float(t)) == in_window, t
+
+
+class TestSchemeOps:
+    """The scheme feeds the tracker under each op's reported kind."""
+
+    def test_listdir_counts_as_a_read_on_success_and_failure(self):
+        clock = SimClock()
+        scheme = SingleCloudScheme(make_table2_cloud_of_clouds(clock)["aliyun"], clock)
+        slo = SloTracker()
+        scheme.attach_slo(slo)
+        scheme.put("/d/a", b"x" * 100)
+        scheme.stat("/d/a")
+        scheme.listdir("/d")
+        with pytest.raises(ValueError):
+            scheme.listdir("/d/../e")
+        reads = [ok for _t, _cls, ok, _deg in slo.window_ops(clock.now, "read")]
+        assert reads == [True, True, False]
+        assert len(slo.window_ops(clock.now, "write")) == 1
 
 
 class TestStormIntegration:

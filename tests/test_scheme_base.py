@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cloud.outage import OutageWindow
+from repro.core.recovery import WriteLog
 from repro.schemes import RacsScheme, SingleCloudScheme
 from repro.schemes.base import CloudOp, DataUnavailable
 
@@ -43,10 +44,10 @@ class TestPhaseExecution:
             CloudOp("p", "put", "c", "k", None)
 
     def test_nested_ops_rejected(self, single):
-        single._begin_op()
-        with pytest.raises(RuntimeError):
-            single._begin_op()
-        single._acc = None  # reset for teardown hygiene
+        with single._op("put", "/outer"):
+            with pytest.raises(RuntimeError):
+                with single._op("put", "/inner"):
+                    pass
 
     def test_duplicate_providers_rejected(self, providers, clock):
         with pytest.raises(ValueError):
@@ -174,6 +175,20 @@ class TestOutagesAndHealing:
         got, report = racs.get("/d/a")
         assert got == data
         assert not report.degraded
+
+    def test_adopted_log_publishes_spilled_bytes(self, racs, providers, clock):
+        inherited = WriteLog(memory_limit_bytes=1000)
+        for i in range(4):
+            inherited.log_put(racs.container, f"k{i}", b"x" * 800, clock.now)
+        assert inherited.spilled_bytes() > 0
+        heir = RacsScheme(list(providers.values()), clock)
+        heir.adopt_write_logs({"azure": inherited})
+        gauge = heir.registry.gauge
+        assert gauge("writelog_spilled_bytes", provider="azure").value == (
+            inherited.spilled_bytes()
+        )
+        assert gauge("writelog_pending_bytes", provider="azure").value == 3200
+        assert gauge("write_log_pending", provider="azure").value == 4
 
     def test_heal_noop_when_no_logs(self, racs):
         assert racs.heal_returned() == []

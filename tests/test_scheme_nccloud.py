@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloud.errors import NoSuchObject
 from repro.cloud.outage import OutageWindow
 from repro.schemes import NCCloudScheme
 
@@ -93,6 +94,20 @@ class TestFunctionalRepair:
         assert stats["objects"] == 1
         entry = nc.namespace.get("/d/a")
         assert "azure" not in entry.providers
+
+    def test_failed_repair_leaves_the_scheme_usable(self, nc, providers, payload):
+        nc.put("/d/a", payload(8000))
+        entry = nc.namespace.get("/d/a")
+        prov, idx = next((p, i) for p, i in entry.placements if p != "aliyun")
+        # A surviving fragment is gone outright: the repair cannot read it.
+        providers[prov].store.remove(
+            nc.container, nc._fragment_key("/d/a", idx, entry.version)
+        )
+        with pytest.raises(NoSuchObject):
+            nc.repair_provider("aliyun")
+        # The raising repair op must not stay armed as an op in flight.
+        nc.put("/d/b", payload(100))
+        assert nc.collector.reports[-1].op == "put"
 
     def test_repair_unknown_provider_rejected(self, nc):
         with pytest.raises(ValueError):
