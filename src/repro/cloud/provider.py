@@ -85,31 +85,19 @@ class SimulatedProvider:
         #: pure bookkeeping: no RNG draws, no clock movement.  A fleet shared
         #: by several schemes reports into whichever registry attached last.
         self.metrics = None
-        # Memoized counter instruments, valid only for the registry they were
-        # resolved from; dropped wholesale whenever ``metrics`` is swapped.
-        self._counter_cache: tuple[object, dict[tuple[str, str], object]] = (None, {})
 
     # --------------------------------------------------------------- metrics
-    def _counter(self, name: str, **labels: str):
-        m = self.metrics
-        owner, cache = self._counter_cache
-        if owner is not m:
-            cache = {}
-            self._counter_cache = (m, cache)
-        key = (name, tuple(labels.values()))
-        c = cache.get(key)
-        if c is None:
-            c = m.counter(name, provider=self.name, **labels)
-            cache[key] = c
-        return c
-
     def _count_request(self, op: str) -> None:
         if self.metrics is not None:
-            self._counter("provider_requests_total", op=op).inc()
+            self.metrics.counter(
+                "provider_requests_total", provider=self.name, op=op
+            ).inc()
 
     def _count_error(self, kind: str) -> None:
         if self.metrics is not None:
-            self._counter("provider_errors_total", kind=kind).inc()
+            self.metrics.counter(
+                "provider_errors_total", provider=self.name, kind=kind
+            ).inc()
 
     # ---------------------------------------------------------- availability
     def is_available(self, t: float | None = None) -> bool:
@@ -217,7 +205,9 @@ class SimulatedProvider:
         obj = self.store.get(container, key)
         self.meter.record_get(obj.size, self.clock.now)
         if self.metrics is not None:
-            self._counter("provider_bytes_down_total").inc(obj.size)
+            self.metrics.counter(
+                "provider_bytes_down_total", provider=self.name
+            ).inc(obj.size)
         if self.faults is not None:
             return self.faults.maybe_corrupt(
                 obj.data, self.clock.now, where=(container, key)
@@ -235,7 +225,9 @@ class SimulatedProvider:
         obj = self.store.put(container, key, data, self.clock.now)
         self.meter.record_put(obj.size, self.clock.now)
         if self.metrics is not None:
-            self._counter("provider_bytes_up_total").inc(obj.size)
+            self.metrics.counter(
+                "provider_bytes_up_total", provider=self.name
+            ).inc(obj.size)
         self._sync_storage_meter()
         return obj
 

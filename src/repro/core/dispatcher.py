@@ -19,7 +19,7 @@ Policy reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.config import HyRDConfig
 from repro.core.evaluator import CostPerformanceEvaluator
@@ -61,8 +61,11 @@ class RequestDispatcher:
         #: optional MetricsRegistry; decisions feed
         #: ``dispatch_decisions_total{redundancy}``
         self.metrics = metrics
-        self._codec_cache: ErasureCodec | None = None
         self._usable_guard: Callable[[str], bool] | None = None
+        #: replica and erasure membership and the sized codec, valid for one
+        #: (evaluator epoch, config) pair; see :meth:`_placement`
+        self._cache: dict[str, object] = {}
+        self._cache_key: tuple[int, HyRDConfig | None] = (-1, None)
 
     def set_usable_guard(self, guard: Callable[[str], bool] | None) -> None:
         """Install a client-side usability predicate (circuit-breaker feed).
@@ -76,20 +79,32 @@ class RequestDispatcher:
         """
         self._usable_guard = guard
 
-    def _prefer_usable(self, names: list[str]) -> list[str]:
-        """Stable-sort guard-passing providers ahead of tripped ones."""
+    def _prefer_usable(self, names: Sequence[str]) -> list[str]:
+        """Stable-sort guard-passing providers ahead of tripped ones.
+
+        Runs on every call, never cached: breaker and outage state moves
+        with the clock, not with the evaluator epoch.
+        """
         if self._usable_guard is None:
-            return names
+            return list(names)
         guard = self._usable_guard
         return sorted(names, key=lambda n: 0 if guard(n) else 1)
 
-    def refresh(self) -> None:
-        """Drop cached placement state after a re-evaluation or exclusion.
+    def _placement(self, which: str, build):
+        """``build()``'s result, resolved once per evaluator epoch.
 
-        The erasure codec is sized to the current erasure target set, so it
-        must be rebuilt whenever that set can change.
+        Membership and order depend only on the evaluator's classification
+        and exclusions (which bump its epoch) and on this dispatcher's
+        config, so both key the cache and nothing has to flush it.
         """
-        self._codec_cache = None
+        key = self._cache_key
+        if key[0] != self.evaluator.epoch or key[1] is not self.config:
+            self._cache = {}
+            self._cache_key = (self.evaluator.epoch, self.config)
+        value = self._cache.get(which)
+        if value is None:
+            value = self._cache[which] = build()
+        return value
 
     # ----------------------------------------------- feature/region policy
     def _region_of(self, name: str) -> str:
@@ -145,6 +160,11 @@ class RequestDispatcher:
     # ------------------------------------------------------------- targets
     def replica_targets(self) -> list[str]:
         """Fastest performance-oriented providers for replication."""
+        # Preference-order only: a breaker-tripped provider keeps its slot
+        # (its writes must land in the write log) but loses its priority.
+        return self._prefer_usable(self._placement("replicas", self._replica_members))
+
+    def _replica_members(self) -> tuple[str, ...]:
         r = self.config.replication_level
         perf = self._feature_eligible(self.evaluator.performance_oriented())
         if len(perf) < r:
@@ -166,10 +186,7 @@ class RequestDispatcher:
         for name in self._feature_eligible(self.evaluator.ranked_by_speed()):
             if name not in pool:
                 pool.append(name)
-        chosen = self._enforce_regions(perf[:r], pool, r)
-        # Preference-order only: a breaker-tripped provider keeps its slot
-        # (its writes must land in the write log) but loses its priority.
-        return self._prefer_usable(chosen)
+        return tuple(self._enforce_regions(perf[:r], pool, r))
 
     def erasure_targets(self) -> list[str]:
         """Cost-oriented providers for the large-file stripe.
@@ -181,6 +198,9 @@ class RequestDispatcher:
         providers with the cheapest data-out price, leaving the expensive-
         egress provider holding parity that only degraded reads touch.
         """
+        return list(self._placement("erasure", self._erasure_members))
+
+    def _erasure_members(self) -> tuple[str, ...]:
         cost = self._feature_eligible(self.evaluator.cost_oriented())
         minimum = 3  # a stripe needs >= 2 data + 1 parity to beat replication
         if len(cost) < minimum:
@@ -203,30 +223,26 @@ class RequestDispatcher:
                 profiles[n].latency_score,
             ),
         )
-        return self._enforce_regions(ordered, ordered, len(ordered))
+        return tuple(self._enforce_regions(ordered, ordered, len(ordered)))
 
     def erasure_codec(self) -> ErasureCodec:
         """The large-file codec sized to the erasure target set."""
-        if self._codec_cache is None:
-            n = len(self.erasure_targets())
-            k = self.config.erasure_k if self.config.erasure_k is not None else n - 1
-            if not (0 < k < n):
-                raise ValueError(
-                    f"erasure_k={k} incompatible with {n} erasure providers"
-                )
-            if self.config.erasure_codec == "raid5":
-                if k != n - 1:
-                    raise ValueError("raid5 requires k = n - 1")
-                self._codec_cache = get_codec("raid5", k=k)
-            elif self.config.erasure_codec == "rs":
-                self._codec_cache = get_codec("rs", k=k, m=n - k)
-            elif self.config.erasure_codec == "fmsr":
-                self._codec_cache = get_codec("fmsr", n=n, k=k)
-            else:
-                raise ValueError(
-                    f"unsupported erasure codec {self.config.erasure_codec!r}"
-                )
-        return self._codec_cache
+        return self._placement("codec", self._build_codec)
+
+    def _build_codec(self) -> ErasureCodec:
+        n = len(self.erasure_targets())
+        k = self.config.erasure_k if self.config.erasure_k is not None else n - 1
+        if not (0 < k < n):
+            raise ValueError(f"erasure_k={k} incompatible with {n} erasure providers")
+        if self.config.erasure_codec == "raid5":
+            if k != n - 1:
+                raise ValueError("raid5 requires k = n - 1")
+            return get_codec("raid5", k=k)
+        if self.config.erasure_codec == "rs":
+            return get_codec("rs", k=k, m=n - k)
+        if self.config.erasure_codec == "fmsr":
+            return get_codec("fmsr", n=n, k=k)
+        raise ValueError(f"unsupported erasure codec {self.config.erasure_codec!r}")
 
     # ------------------------------------------------------------ decisions
     def decide(self, klass: FileClass) -> DispatchDecision:

@@ -85,6 +85,10 @@ class CostPerformanceEvaluator:
         self.profiles: dict[str, ProviderProfile] = {}
         self._scores: dict[str, float] = {}
         self._excluded: set[str] = set()
+        #: bumped by every change to the classification or the exclusion
+        #: set; placement caches (here and in the dispatcher) are keyed on it
+        self.epoch = 0
+        self._ordered: dict[str, tuple[str, ...]] = {}
 
     # ------------------------------------------------------------- probing
     def _probe_latency(self, provider: SimulatedProvider) -> float:
@@ -194,6 +198,7 @@ class CostPerformanceEvaluator:
             raise RuntimeError("every provider is unavailable; cannot evaluate")
         self._scores = scores
         self.profiles = self._classify(scores)
+        self._bump()
         return self.profiles
 
     def rerank(
@@ -216,6 +221,7 @@ class CostPerformanceEvaluator:
             for name, raw in self._scores.items()
         }
         self.profiles = self._classify(scores)
+        self._bump()
         return self.profiles
 
     # ----------------------------------------------------------- exclusion
@@ -231,16 +237,23 @@ class CostPerformanceEvaluator:
         if len(self.providers) - len(self._excluded) <= 1:
             raise ValueError("cannot exclude the last usable provider")
         self._excluded.add(name)
+        self._bump()
 
     def readmit(self, name: str) -> None:
         """Allow a previously excluded provider to receive placements again."""
         self._excluded.discard(name)
+        self._bump()
 
     @property
     def excluded(self) -> frozenset[str]:
         return frozenset(self._excluded)
 
     # -------------------------------------------------------------- queries
+    def _bump(self) -> None:
+        """Start a new epoch: every ordered provider list is stale."""
+        self.epoch += 1
+        self._ordered.clear()
+
     def _require_profiles(self) -> None:
         if not self.profiles:
             self.evaluate()
@@ -248,34 +261,41 @@ class CostPerformanceEvaluator:
     def _usable(self, name: str) -> bool:
         return name not in self._excluded
 
+    def _ordered_names(self, which: str, keep, key) -> list[str]:
+        """Usable providers whose profile passes ``keep``, sorted by ``key``.
+
+        Sorted once per epoch; a fresh list per call, because callers
+        extend it.
+        """
+        self._require_profiles()
+        names = self._ordered.get(which)
+        if names is None:
+            names = self._ordered[which] = tuple(
+                sorted(
+                    (n for n, p in self.profiles.items() if keep(p) and self._usable(n)),
+                    key=key,
+                )
+            )
+        return list(names)
+
     def performance_oriented(self) -> list[str]:
         """Performance-oriented provider names, fastest first."""
-        self._require_profiles()
-        return sorted(
-            (
-                p.name
-                for p in self.profiles.values()
-                if p.is_performance_oriented and self._usable(p.name)
-            ),
-            key=lambda n: self.profiles[n].latency_score,
+        return self._ordered_names(
+            "performance",
+            lambda p: p.is_performance_oriented,
+            lambda n: self.profiles[n].latency_score,
         )
 
     def cost_oriented(self) -> list[str]:
         """Cost-oriented provider names, cheapest storage first."""
-        self._require_profiles()
-        return sorted(
-            (
-                p.name
-                for p in self.profiles.values()
-                if p.is_cost_oriented and self._usable(p.name)
-            ),
-            key=lambda n: (self.profiles[n].storage_price, self.profiles[n].latency_score),
+        return self._ordered_names(
+            "cost",
+            lambda p: p.is_cost_oriented,
+            lambda n: (self.profiles[n].storage_price, self.profiles[n].latency_score),
         )
 
     def ranked_by_speed(self) -> list[str]:
         """All usable providers, fastest measured first."""
-        self._require_profiles()
-        return sorted(
-            (n for n in self.profiles if self._usable(n)),
-            key=lambda n: self.profiles[n].latency_score,
+        return self._ordered_names(
+            "speed", lambda p: True, lambda n: self.profiles[n].latency_score
         )

@@ -326,7 +326,6 @@ class HyRDClient(Scheme):
         :meth:`misplaced_paths` / :meth:`migrate` to realign them lazily.
         """
         profiles = self.evaluator.evaluate()
-        self.dispatcher.refresh()
         self._notify_policy_change()
         return profiles
 
@@ -340,7 +339,6 @@ class HyRDClient(Scheme):
         it once its health recovers) with zero probe transactions.
         """
         profiles = self.evaluator.rerank(self.health)
-        self.dispatcher.refresh()
         self._notify_policy_change()
         return profiles
 
@@ -398,7 +396,6 @@ class HyRDClient(Scheme):
         <repro.maintenance.MaintenancePlane.run_idle>` drives it forward).
         """
         self.evaluator.exclude(provider)
-        self.dispatcher.refresh()
         if self.maintenance is not None:
             self.maintenance.migration.plan_decommission(provider)
             return []

@@ -218,6 +218,11 @@ class MetricsRegistry:
 
     def __init__(self, tracer=None, strict: bool = True) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Counter | Gauge | Histogram] = {}
+        #: resolve-once handles: ``(kind, name, *labels.items())`` -> the
+        #: instrument, so a repeat lookup skips label sorting and the catalog
+        #: check.  Keyed by call-site label order; every key maps to the one
+        #: canonical instrument in ``_metrics``.
+        self._handles: dict[tuple, Counter | Gauge | Histogram] = {}
         self.tracer = tracer
         self.strict = strict
 
@@ -246,37 +251,53 @@ class MetricsRegistry:
                 f"{tuple(sorted(labels))}"
             )
 
-    # ---------------------------------------------------------- instruments
-    def counter(self, name: str, **labels: str) -> Counter:
-        """Get or create the counter for *(name, labels)*."""
+    def _bind(self, handle: tuple, cls: type, name: str, labels: dict, *args):
+        """Resolve a handle-cache miss through the canonical sorted-label key."""
+        kind = handle[0]
         key = (name, _label_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            self._check(name, "counter", labels)
-            metric = Counter(name, key[1], self)
+            self._check(name, kind, labels)
+            metric = cls(name, key[1], self, *args)
             self._metrics[key] = metric
+        elif type(metric) is not cls:
+            # The instrument passed the catalog check as its own type, so a
+            # strict registry rejects this use; a lax one returns it as is.
+            self._check(name, kind, labels)
+        # Only all-``str`` label sets get a handle: 1, 1.0 and True are equal
+        # dict keys but render as different label values.
+        if all(type(v) is str for v in labels.values()):
+            self._handles[handle] = metric
+        return metric
+
+    # ---------------------------------------------------------- instruments
+    def counter(self, name: str, **labels: str) -> Counter:
+        """Get or create the counter for *(name, labels)*."""
+        handle = ("counter", name, *labels.items())
+        metric = self._handles.get(handle)
+        if metric is None:
+            metric = self._bind(handle, Counter, name, labels)
         return metric  # type: ignore[return-value]
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         """Get or create the gauge for *(name, labels)*."""
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
+        handle = ("gauge", name, *labels.items())
+        metric = self._handles.get(handle)
         if metric is None:
-            self._check(name, "gauge", labels)
-            metric = Gauge(name, key[1], self)
-            self._metrics[key] = metric
+            metric = self._bind(handle, Gauge, name, labels)
         return metric  # type: ignore[return-value]
 
     def histogram(
         self, name: str, bounds: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS, **labels: str
     ) -> Histogram:
-        """Get or create the histogram for *(name, labels)*."""
-        key = (name, _label_key(labels))
-        metric = self._metrics.get(key)
+        """Get or create the histogram for *(name, labels)*.
+
+        ``bounds`` applies only when the histogram is created.
+        """
+        handle = ("histogram", name, *labels.items())
+        metric = self._handles.get(handle)
         if metric is None:
-            self._check(name, "histogram", labels)
-            metric = Histogram(name, key[1], self, bounds)
-            self._metrics[key] = metric
+            metric = self._bind(handle, Histogram, name, labels, bounds)
         return metric  # type: ignore[return-value]
 
     # -------------------------------------------------------------- queries

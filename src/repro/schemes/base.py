@@ -770,16 +770,20 @@ class Scheme(ABC):
 
         # One breaker decision per provider per phase, so a half-open probe
         # admits the provider's whole phase (and its outcome settles the
-        # breaker) rather than flip-flopping per request.
-        allowed: dict[str, bool] = {}
+        # breaker) rather than flip-flopping per request.  The provider, its
+        # health tracker and its breaker are resolved here, once per phase.
+        # Bypass skips the *gate* only; outcomes still feed the breaker, so
+        # a successful consistency-update replay closes it.
+        gates: dict[str, tuple] = {}  # name -> (provider, health, breaker, allowed)
         for name in {op.provider for op in ops}:
             breaker = self._breakers.get(name)
             if breaker is None or bypass_breakers:
-                allowed[name] = True
-                continue
-            before = breaker.state
-            allowed[name] = breaker.allow(now)
-            self._note_breaker(breaker, before)
+                allowed = True
+            else:
+                before = breaker.state
+                allowed = breaker.allow(now)
+                self._note_breaker(breaker, before)
+            gates[name] = (self.provider(name), self.health.get(name), breaker, allowed)
 
         for i, op in enumerate(ops):
             # Scripted crash injection: die *between* cloud ops, before this
@@ -788,12 +792,8 @@ class Scheme(ABC):
             # clock never advances past the kill point.
             if self._crash is not None and self._crash.tick():
                 raise ClientCrash(self._crash.ops_seen, op.provider, op.kind)
-            provider = self.provider(op.provider)
-            health = self.health.get(op.provider)
-            # Bypass skips the *gate* only; outcomes still feed the breaker,
-            # so a successful consistency-update replay closes it.
-            breaker = self._breakers.get(op.provider)
-            if not allowed[op.provider]:
+            provider, health, breaker, allowed = gates[op.provider]
+            if not allowed:
                 # Client-side fast fail: no request leaves the machine.
                 self._log_missed_mutation(op)
                 self.collector.bump("breaker_fast_fail")

@@ -88,6 +88,28 @@ def _waterfill_rates(caps: list[float], link_capacity: float) -> list[float]:
     return rates
 
 
+def _single_transfer(spec: TransferSpec, link_capacity: float) -> TransferResult:
+    """Closed form of :func:`simulate_transfers` for a batch of one.
+
+    Alone on the link the transfer runs at ``min(remote_cap, link)`` from
+    ``start_delay`` until it drains.  The arithmetic is the event loop's,
+    step for step, so the result is bit-identical; the loop only repeats
+    when rounding leaves more than ``_EPS_BYTES`` after the first drain,
+    which takes a multi-gigabyte transfer.
+    """
+    start = float(spec.start_delay)
+    remaining = float(spec.size_bytes)
+    if remaining <= _EPS_BYTES:
+        return TransferResult(start_time=start, finish_time=start)
+    rate = min(spec.remote_cap, link_capacity)
+    now = start
+    while remaining > _EPS_BYTES:
+        dt = remaining / rate
+        now += dt
+        remaining -= rate * dt
+    return TransferResult(start_time=start, finish_time=now)
+
+
 def simulate_transfers(
     specs: list[TransferSpec], link_capacity: float
 ) -> list[TransferResult]:
@@ -101,6 +123,8 @@ def simulate_transfers(
     n = len(specs)
     if n == 0:
         return []
+    if n == 1:
+        return [_single_transfer(specs[0], link_capacity)]
 
     remaining = [float(s.size_bytes) for s in specs]
     start = [float(s.start_delay) for s in specs]

@@ -34,8 +34,8 @@ def make_rng(seed: int, *labels: object) -> np.random.Generator:
 
         rng = make_rng(42, "latency", "aliyun")
     """
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, stable_u64(*labels) & 0xFFFFFFFF,
-                                 (stable_u64(*labels) >> 32) & 0xFFFFFFFF])
+    h = stable_u64(*labels)
+    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, h & 0xFFFFFFFF, (h >> 32) & 0xFFFFFFFF])
     return np.random.default_rng(ss)
 
 

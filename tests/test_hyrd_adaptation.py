@@ -120,9 +120,7 @@ class TestDecommission:
 
     def test_readmit(self, hyrd, payload):
         hyrd.evaluator.exclude("aliyun")
-        hyrd.dispatcher.refresh()
         hyrd.evaluator.readmit("aliyun")
-        hyrd.dispatcher.refresh()
         hyrd.put("/d/s", payload(1024))
         assert "aliyun" in hyrd.namespace.get("/d/s").providers
 

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.cloud.latency import LatencyModel
 from repro.core.config import HyRDConfig
 from repro.core.dispatcher import RequestDispatcher
 from repro.core.evaluator import CostPerformanceEvaluator
+from repro.core.hyrd import HyRDClient
 from repro.core.monitor import FileClass
+from repro.core.resilience import BreakerState, ProviderHealth
 from repro.erasure.raid5 import Raid5Code
 from repro.erasure.reed_solomon import ReedSolomonCode
 from repro.fs.namespace import FileEntry
@@ -90,3 +93,55 @@ class TestPromotion:
     def test_promotion_target_is_fastest_perf(self, providers):
         d = _dispatcher(providers)
         assert d.promotion_target() == "aliyun"
+
+
+class TestEpochCaches:
+    """Placement caches follow the evaluator's epoch: no manual flush."""
+
+    def test_exclude_and_readmit(self, providers):
+        # cost_percentile=100 makes every provider cost-oriented: a 4-wide stripe.
+        d = _dispatcher(providers, cost_percentile=100.0)
+        assert d.replica_targets() == ["aliyun", "azure"]
+        assert len(d.erasure_targets()) == d.erasure_codec().n == 4
+        d.evaluator.exclude("aliyun")
+        assert "aliyun" not in d.replica_targets()
+        assert "aliyun" not in d.erasure_targets()
+        assert len(d.erasure_targets()) == d.erasure_codec().n == 3
+        d.evaluator.readmit("aliyun")
+        assert d.replica_targets() == ["aliyun", "azure"]
+        assert len(d.erasure_targets()) == d.erasure_codec().n == 4
+
+    def test_evaluate(self, providers):
+        d = _dispatcher(providers)
+        assert d.replica_targets()[0] == "aliyun"
+        providers["aliyun"].latency = LatencyModel(
+            rtt=0.8, upload_bw=0.5e6, download_bw=0.5e6
+        )
+        d.evaluator.evaluate()
+        assert "aliyun" not in d.replica_targets()
+
+    def test_rerank(self, providers):
+        d = _dispatcher(providers)
+        assert d.replica_targets()[0] == "aliyun"
+        health = {name: ProviderHealth(name) for name in providers}
+        health["aliyun"].slowdown = 100.0
+        d.evaluator.rerank(health)
+        assert "aliyun" not in d.replica_targets()
+
+    def test_callers_cannot_corrupt_the_cache(self, providers):
+        d = _dispatcher(providers)
+        d.replica_targets().append("rackspace")
+        d.erasure_targets().clear()
+        d.evaluator.performance_oriented().clear()
+        assert d.replica_targets() == ["aliyun", "azure"]
+        assert d.erasure_targets() == ["rackspace", "aliyun", "amazon_s3"]
+        assert d.evaluator.performance_oriented() == ["aliyun", "azure"]
+
+    def test_tripped_breaker_reorders_on_the_next_call(self, providers, clock):
+        hyrd = HyRDClient(list(providers.values()), clock)
+        assert hyrd.dispatcher.replica_targets() == ["aliyun", "azure"]
+        breaker = hyrd._breakers["aliyun"]
+        while breaker.state != BreakerState.OPEN:
+            breaker.record_failure(clock.now)
+        # Same membership (writes still land in aliyun's write log), new order.
+        assert hyrd.dispatcher.replica_targets() == ["azure", "aliyun"]

@@ -259,7 +259,6 @@ class TestMigrationEngine:
         scheme, _providers = self._hyrd()
         plane = MaintenancePlane(scheme, MaintenanceConfig(migration_keys_per_cycle=1))
         scheme.evaluator.exclude("azure")
-        scheme.dispatcher.refresh()
         plane.migration.sync_policy()
         before = len(plane.migration)
         assert before > 1

@@ -28,6 +28,9 @@ class TestCounter:
         a = r.counter("provider_requests_total", provider="azure", op="get")
         b = r.counter("provider_requests_total", op="get", provider="azure")
         assert a is b  # label order must not matter
+        # ... nor on a repeat lookup, served by the resolve-once handles
+        assert r.counter("provider_requests_total", provider="azure", op="get") is a
+        assert r.counter("provider_requests_total", op="get", provider="azure") is a
         assert len(r) == 1
 
     def test_unread_counter_is_zero(self):
@@ -113,6 +116,15 @@ class TestStrictCatalog:
         with pytest.raises(UnknownMetricError):
             MetricsRegistry().counter("retries", provider="azure")
 
+    def test_existing_name_of_another_type_raises(self):
+        r = MetricsRegistry()
+        counter = r.counter("retries")
+        with pytest.raises(UnknownMetricError):
+            r.gauge("retries")
+        with pytest.raises(UnknownMetricError):
+            r.histogram("retries")
+        assert r.counter("retries") is counter
+
     def test_non_strict_allows_anything(self):
         r = MetricsRegistry(strict=False)
         r.counter("ad_hoc", anything="goes").inc()
@@ -136,6 +148,25 @@ class TestStrictCatalog:
         table = catalog_markdown_table()
         for name in METRIC_CATALOG:
             assert f"`{name}`" in table
+
+
+class TestHandles:
+    """The resolve-once fast path must agree with the canonical key."""
+
+    def test_label_values_are_stringified(self):
+        r = MetricsRegistry(strict=False)
+        a = r.counter("x", a=1)
+        assert r.counter("x", a="1") is a
+        assert r.counter("x", a=1) is a
+        assert r.counter("x", a="1") is a
+
+    def test_equal_values_with_different_text_stay_apart(self):
+        # 1 == 1.0 == True as dict keys, but they render "1", "1.0", "True".
+        r = MetricsRegistry(strict=False)
+        one = r.counter("x", a=1)
+        assert r.counter("x", a=True) is not one
+        assert r.counter("x", a=1.0) is not one
+        assert len(r) == 3
 
 
 class TestQueries:

@@ -2,10 +2,15 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.bandwidth import TransferSpec, _waterfill_rates, simulate_transfers
+from repro.sim.bandwidth import (
+    _EPS_BYTES,
+    TransferSpec,
+    _waterfill_rates,
+    simulate_transfers,
+)
 
 
 @st.composite
@@ -100,3 +105,26 @@ class TestSimulationProperties:
         with_extra = simulate_transfers(extra, link)
         for b, w in zip(base, with_extra):
             assert w.finish_time >= b.finish_time - max(1e-6 * b.finish_time, 1e-6)
+
+
+class TestSingleTransferClosedForm:
+    @given(
+        start=st.floats(0, 5, allow_nan=False),
+        size=st.one_of(
+            st.just(0.0),
+            st.floats(0, _EPS_BYTES),
+            st.floats(0, 1e13, allow_nan=False),
+        ),
+        cap=st.one_of(st.floats(1.0, 1e9), st.just(math.inf)),
+        link=st.floats(1.0, 1e9, allow_nan=False),
+    )
+    # Rounding leaves > _EPS_BYTES after the first drain: a second step.
+    @example(start=0.0, size=6912409203721.119, cap=23130922.526071936, link=1e9)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_event_loop_exactly(self, start, size, cap, link):
+        """A batch of one returns exactly what the general loop computes;
+        the zero-byte companion forces the loop without taking bandwidth."""
+        spec = TransferSpec(start, size, cap)
+        alone = simulate_transfers([spec], link)[0]
+        looped = simulate_transfers([spec, TransferSpec(0.0, 0.0)], link)[0]
+        assert alone == looped

@@ -11,6 +11,7 @@ from repro.cloud.provider import (
     SimulatedProvider,
     make_table2_cloud_of_clouds,
 )
+from repro.metrics.registry import MetricsRegistry
 
 
 @pytest.fixture
@@ -84,6 +85,21 @@ class TestMetering:
         provider.put("c", "k", b"12345")
         provider.get("c", "k")
         assert provider.meter.month_usage(0).bytes_out == 5
+
+
+class TestMetrics:
+    def test_counts_follow_a_swapped_registry(self, provider):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        provider.metrics = first
+        provider.create("c")
+        provider.put("c", "k", b"data")
+        provider.metrics = second
+        provider.get("c", "k")
+        requests = "provider_requests_total"
+        assert first.counter_value(requests, provider="p", op="put") == 1
+        assert first.counter_value(requests, provider="p", op="get") == 0
+        assert second.counter_value(requests, provider="p", op="get") == 1
+        assert second.counter_value("provider_bytes_down_total", provider="p") == 4
 
 
 class TestTable2Fleet:

@@ -36,6 +36,14 @@ class TestMakeRng:
         b = make_rng(8, "x").random(8)
         assert not np.array_equal(a, b)
 
+    def test_streams_are_pinned(self):
+        """Payload and tenant streams: changing how the labels are hashed
+        would change every synthesized byte."""
+        draws = make_rng(7, "payload-block", "/a").integers(0, 2**32, 4)
+        assert draws.tolist() == [2563633509, 207985, 353026807, 2965173399]
+        draws = make_rng(3, "tenant-payload", "t0", "/d/obj0").integers(0, 2**32, 4)
+        assert draws.tolist() == [1826083997, 3383517920, 494878968, 788121965]
+
 
 class TestSpawnRngs:
     def test_count_and_independence(self):
