@@ -1,4 +1,4 @@
-"""Simulated cloud storage providers and the GCS-API middleware.
+"""Simulated cloud storage providers.
 
 The paper models each provider as a *passive storage functional entity* with
 exactly five operations — List, Get, Create, Put, Remove — characterised
@@ -11,7 +11,6 @@ reproduces that model:
 - :mod:`repro.cloud.metering`    -- raw usage meters (bytes, ops, byte-time)
 - :mod:`repro.cloud.outage`      -- outage windows / schedules / injection
 - :mod:`repro.cloud.provider`    -- the metered, outage-aware provider
-- :mod:`repro.cloud.gcsapi`      -- the GCS-API middleware (provider registry)
 - :mod:`repro.cloud.rest`        -- RESTful request/response encoding layer
 """
 
@@ -22,7 +21,6 @@ from repro.cloud.errors import (
     NoSuchObject,
     ProviderUnavailable,
 )
-from repro.cloud.gcsapi import GcsApi
 from repro.cloud.latency import ClientLink, LatencyModel
 from repro.cloud.metering import UsageMeter
 from repro.cloud.objectstore import ObjectStore, StoredObject
@@ -34,7 +32,6 @@ __all__ = [
     "ClientLink",
     "CloudError",
     "ContainerExists",
-    "GcsApi",
     "LatencyModel",
     "NoSuchContainer",
     "NoSuchObject",

@@ -36,11 +36,21 @@ class PlacementPolicyError(ValueError):
 
 @dataclass(frozen=True)
 class DispatchDecision:
-    """Where and how one object should be stored."""
+    """Where and how one object should be stored: a scheme's layout.
 
-    klass: FileClass
+    Every scheme's ``_layout`` returns one, and
+    :class:`~repro.schemes.base.Scheme` writes it: whole copies on every
+    provider when ``codec`` is None, else one fragment per provider in
+    ``providers`` order.  ``klass``, ``codec_name`` and ``codec_params``
+    become the new :class:`~repro.fs.namespace.FileEntry`'s ``klass``,
+    ``codec`` and ``codec_params``.
+    """
+
+    klass: str
     codec: ErasureCodec | None  # None = replication
     providers: tuple[str, ...]  # placement order = fragment index order
+    codec_name: str = "replication"
+    codec_params: tuple[tuple[str, int], ...] = ()
 
     @property
     def redundancy(self) -> str:
@@ -249,9 +259,10 @@ class RequestDispatcher:
         """Placement for one object of the given class."""
         if klass in (FileClass.METADATA, FileClass.SMALL):
             decision = DispatchDecision(
-                klass=klass,
+                klass=klass.value,
                 codec=None,
                 providers=tuple(self.replica_targets()),
+                codec_params=(("r", self.config.replication_level),),
             )
         else:
             codec = self.erasure_codec()
@@ -261,7 +272,11 @@ class RequestDispatcher:
                     f"erasure targets ({len(targets)}) do not match codec n={codec.n}"
                 )
             decision = DispatchDecision(
-                klass=klass, codec=codec, providers=tuple(targets)
+                klass=klass.value,
+                codec=codec,
+                providers=tuple(targets),
+                codec_name=self.config.erasure_codec,
+                codec_params=(("k", codec.k), ("m", codec.n - codec.k)),
             )
         if self.metrics is not None:
             self.metrics.counter(

@@ -20,13 +20,15 @@ policy is the hybrid of the paper:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
 from repro.core.config import HyRDConfig
-from repro.core.dispatcher import RequestDispatcher
+from repro.core.dispatcher import DispatchDecision, RequestDispatcher
 from repro.core.evaluator import CostPerformanceEvaluator
 from repro.core.monitor import FileClass, WorkloadMonitor
-from repro.erasure.codec import ErasureCodec, get_codec
+from repro.erasure.codec import ErasureCodec
 from repro.fs.namespace import FileEntry
 from repro.metrics.collector import OpReport
 from repro.schemes.base import CloudOp, Scheme
@@ -73,83 +75,36 @@ class HyRDClient(Scheme):
         self._hot: dict[str, tuple[str, int]] = {}
         self._hot_digests: dict[str, str] = {}
         self._pending_promotion: tuple[str, bytes] | None = None
-        self._codec_instances: dict[tuple[str, tuple[tuple[str, int], ...]], ErasureCodec] = {}
 
     # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        """Codec the entry was *written* with.
-
-        Reconstructed from the entry's recorded parameters, not from the
-        dispatcher's current choice: after a re-evaluation or a provider
-        decommission the dispatcher may stripe differently, but existing
-        objects must keep decoding with their original geometry.
-        """
-        if entry.codec == "replication":
-            return None
-        key = (entry.codec, entry.codec_params)
-        codec = self._codec_instances.get(key)
-        if codec is None:
-            params = dict(entry.codec_params)
-            if entry.codec == "raid5":
-                codec = get_codec("raid5", k=params["k"])
-            elif entry.codec == "rs":
-                codec = get_codec("rs", k=params["k"], m=params["m"])
-            elif entry.codec == "fmsr":
-                codec = get_codec("fmsr", n=params["k"] + params["m"], k=params["k"])
-            else:
-                raise ValueError(f"unknown codec {entry.codec!r} on {entry.path!r}")
-            self._codec_instances[key] = codec
-        return codec
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
+    def _layout(self, path: str, data: bytes) -> DispatchDecision:
         # Zero-duration marker (the sim charges no time for local placement
         # logic): lets the attribution analyzer pin the dispatcher's
         # classify/decide step inside the op's queueing lead-in.
         with self.tracer.span("dispatch.decide", size=len(data)):
-            klass = self.monitor.observe(len(data))
-            decision = self.dispatcher.decide(klass)
-        version = prev.version + 1 if prev else 1
-        if decision.codec is None:
-            placements, digests = self._write_replicated(
-                path, data, list(decision.providers), version
-            )
-            codec_name = "replication"
-            codec_params: tuple[tuple[str, int], ...] = (
-                ("r", self.config.replication_level),
-            )
-        else:
-            placements, digests = self._write_striped(
-                path, data, decision.codec, list(decision.providers), version
-            )
-            codec_name = self.config.erasure_codec
-            codec_params = (("k", decision.codec.k), ("m", decision.codec.n - decision.codec.k))
+            return self.dispatcher.decide(self.monitor.observe(len(data)))
+
+    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
+        entry = super()._put_file(path, data, prev)
+        # The new version invalidates any hot copy; HyRD also keeps the
+        # read count across overwrites (it drives promotion).
         self._drop_hot_copy(path)
         now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec=codec_name,
-            codec_params=codec_params,
-            placements=tuple(placements),
-            klass=klass.value,
+        return replace(
+            entry,
             created=prev.created if prev else now,
             modified=now,
             access_count=prev.access_count if prev else 0,
-            digests=digests,
         )
 
     # ----------------------------------------------------------------- read
     def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
-        if entry.codec == "replication":
-            return self._read_replicated(
-                entry.path,
-                entry.size,
-                list(entry.providers),
-                entry.version,
-                digest=entry.digests[0] if entry.digests else None,
-            )
-        data, degraded = self._read_large(entry)
+        if entry.replicated:
+            return super()._read_file(entry)
+        data = self._read_hot_copy(entry)
+        degraded = False
+        if data is None:
+            data, degraded = super()._read_file(entry)
         # Promotion check uses the access count *including* this read.
         promoted_count = entry.access_count + 1
         if (
@@ -163,96 +118,64 @@ class HyRDClient(Scheme):
             self._pending_promotion = (entry.path, data)
         return data, degraded
 
-    def _read_large(self, entry: FileEntry) -> tuple[bytes, bool]:
-        """Stripe fetch vs hot-copy fetch, whichever the estimate favours."""
-        codec = self._codec_for(entry)
-        assert codec is not None
+    def _read_hot_copy(self, entry: FileEntry) -> bytes | None:
+        """The promoted copy, when the estimate favours it over the stripe."""
         hot = self._hot.get(entry.path)
-        if hot is not None:
-            hot_provider, hot_version = hot
-            if (
-                hot_version == entry.version
-                and self.provider(hot_provider).is_available()
-                and not self._write_logs[hot_provider].has_pending(
-                    self.container, self._hot_key(entry.path, entry.version)
-                )
-            ):
-                if self.scheduler is not None:
-                    # Load-aware arm of the hot-copy-vs-stripe choice: both
-                    # estimates price queueing and health, and the stripe
-                    # side is the scheduler's best k-subset (parity
-                    # included), not the fixed systematic set.
-                    est_hot = self.scheduler.score_provider(
-                        hot_provider, entry.size
-                    )
-                    est_stripe = self.scheduler.estimate_stripe(
-                        {idx: prov for prov, idx in entry.placements},
-                        entry.size,
-                        codec,
-                    )
-                else:
-                    est_hot = self._estimate_latency(
-                        hot_provider, entry.size, "down"
-                    )
-                    frag = codec.fragment_size(entry.size)
-                    est_stripe = max(
-                        self._estimate_latency(prov, frag, "down")
-                        for prov, idx in entry.placements
-                        if idx < codec.k
-                    )
-                if est_hot <= est_stripe:
-                    phase = self._run_phase(
-                        [
-                            CloudOp(
-                                hot_provider,
-                                "get",
-                                self.container,
-                                self._hot_key(entry.path, entry.version),
-                            )
-                        ]
-                    )
-                    outcome = phase.outcomes[0]
-                    if outcome.ok and outcome.data is not None:
-                        expected = self._hot_digests.get(entry.path)
-                        if expected is None or self._verify_digest(
-                            self._hot_key(entry.path, entry.version),
-                            outcome.data,
-                            expected,
-                        ):
-                            return outcome.data, False
-                    # Hot copy raced an outage or was corrupted: fall
-                    # through to the verified stripe.
-        return self._read_striped(
-            entry.path,
-            entry.size,
-            codec,
-            list(entry.placements),
-            entry.version,
-            digests=entry.digests or None,
-        )
+        if hot is None:
+            return None
+        hot_provider, hot_version = hot
+        key = self._hot_key(entry.path, entry.version)
+        if (
+            hot_version != entry.version
+            or not self.provider(hot_provider).is_available()
+            or self._write_logs[hot_provider].has_pending(self.container, key)
+        ):
+            return None
+        codec = self._codec_for(entry)
+        if self.scheduler is not None:
+            # Load-aware arm of the hot-copy-vs-stripe choice: both
+            # estimates price queueing and health, and the stripe side is
+            # the scheduler's best k-subset (parity included), not the
+            # fixed systematic set.
+            est_hot = self.scheduler.score_provider(hot_provider, entry.size)
+            est_stripe = self.scheduler.estimate_stripe(
+                {idx: prov for prov, idx in entry.placements}, entry.size, codec
+            )
+        else:
+            est_hot = self._estimate_latency(hot_provider, entry.size, "down")
+            frag = codec.fragment_size(entry.size)
+            est_stripe = max(
+                self._estimate_latency(prov, frag, "down")
+                for prov, idx in entry.placements
+                if idx < codec.k
+            )
+        if est_hot > est_stripe:
+            return None
+        phase = self._run_phase([CloudOp(hot_provider, "get", self.container, key)])
+        outcome = phase.outcomes[0]
+        if outcome.ok and outcome.data is not None:
+            expected = self._hot_digests.get(entry.path)
+            if expected is None or self._verify_digest(key, outcome.data, expected):
+                return outcome.data
+        # Hot copy raced an outage or was corrupted: fall through to the
+        # verified stripe.
+        return None
 
     # --------------------------------------------------------------- update
-    def _update_file(
-        self, entry: FileEntry, offset: int, patch: bytes, new_content: bytes
+    def _rmw_striped(
+        self,
+        entry: FileEntry,
+        offset: int,
+        patch: bytes,
+        new_content: bytes,
+        codec: ErasureCodec,
     ) -> FileEntry:
-        if entry.codec != "replication" and len(new_content) == entry.size:
-            codec = self._codec_for(entry)
-            assert codec is not None
-            self._drop_hot_copy(entry.path)
-            return self._rmw_striped(entry, offset, patch, new_content, codec)
-        # Small files — and any size-changing write — are re-put wholesale;
-        # _put_file re-classifies, so a small file growing past the threshold
-        # migrates to the erasure stripe automatically.
-        return self._put_file(entry.path, new_content, entry)
+        self._drop_hot_copy(entry.path)
+        return super()._rmw_striped(entry, offset, patch, new_content, codec)
 
     # --------------------------------------------------------------- remove
     def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path,
-            list(entry.placements),
-            entry.version,
-            replicated=entry.codec == "replication",
-        )
+        super()._remove_file(entry)
         self._drop_hot_copy(entry.path)
 
     # ------------------------------------------------------------- metadata

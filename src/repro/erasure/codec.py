@@ -17,6 +17,11 @@ __all__ = ["ErasureCodec", "register_codec", "get_codec", "available_codecs"]
 class ErasureCodec(ABC):
     """An (n, k) erasure code over byte payloads."""
 
+    #: fragments ``0..k-1`` are the payload's own shards, so they decode
+    #: without arithmetic and a patch rewrites only the shards it touches
+    #: plus parity; False for codes where every fragment mixes every byte
+    systematic: bool = True
+
     @property
     @abstractmethod
     def n(self) -> int:

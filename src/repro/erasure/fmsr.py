@@ -41,6 +41,9 @@ _MAX_DRAWS = 200
 class FMSRCode(ErasureCodec):
     """FMSR(n, k) with ``n - k = 2`` by default (NCCloud's double-fault setting)."""
 
+    #: every node fragment is a random linear mix of all native chunks
+    systematic = False
+
     def __init__(
         self,
         n: int = 4,

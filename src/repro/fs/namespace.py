@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["normalize_path", "dirname", "basename", "FileEntry", "Namespace"]
+__all__ = [
+    "normalize_path",
+    "dirname",
+    "basename",
+    "storage_key",
+    "FileEntry",
+    "Namespace",
+]
 
 
 def normalize_path(path: str) -> str:
@@ -37,6 +44,14 @@ def basename(path: str) -> str:
     return path.rsplit("/", 1)[-1]
 
 
+def storage_key(path: str, version: int, index: int | None = None) -> str:
+    """Object key of one placement: ``path#vN`` for a whole copy (replica),
+    ``path#vN.i`` for fragment ``i`` of a stripe."""
+    if index is None:
+        return f"{path}#v{version}"
+    return f"{path}#v{version}.{index}"
+
+
 @dataclass(frozen=True)
 class FileEntry:
     """Metadata for one file.
@@ -45,7 +60,9 @@ class FileEntry:
     replication every replica shares fragment semantics (index 0..r-1 are
     identical copies), for erasure codes the index selects the stripe
     fragment.  ``codec`` names the registered codec + parameters used, so a
-    reader can reconstruct without out-of-band knowledge.
+    reader can reconstruct without out-of-band knowledge.  The entry is the
+    single record of how the object is stored: :attr:`replicated`,
+    :attr:`min_needed` and :meth:`storage_key` derive from it alone.
     """
 
     path: str
@@ -71,6 +88,20 @@ class FileEntry:
     @property
     def providers(self) -> tuple[str, ...]:
         return tuple(p for p, _ in self.placements)
+
+    @property
+    def replicated(self) -> bool:
+        """Every placement holds a whole copy (no fragments)."""
+        return self.codec == "replication"
+
+    @property
+    def min_needed(self) -> int:
+        """Intact placements that rebuild the content: ``k``, else 1."""
+        return dict(self.codec_params).get("k", 1)
+
+    def storage_key(self, index: int) -> str:
+        """Object key of the placement holding fragment/replica ``index``."""
+        return storage_key(self.path, self.version, None if self.replicated else index)
 
     def fragment_index(self, provider: str) -> int:
         for p, idx in self.placements:

@@ -111,7 +111,7 @@ class MaintenancePlane:
             keys_per_cycle=self.config.migration_keys_per_cycle,
         )
         if ledger is not None:
-            for provider in scheme.api.providers():
+            for provider in scheme.providers.values():
                 if provider.faults is not None:
                     provider.faults.attach_ledger(ledger)
         self._timer: RecurringEvent | None = None

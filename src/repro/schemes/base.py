@@ -13,8 +13,9 @@ into *phases* of concurrent provider requests.  The engine here:
   redundancy, and charges metadata reads on client-cache misses,
 - emits an :class:`repro.metrics.OpReport` per operation.
 
-Concrete schemes mostly just pick *placements* via the replicated/striped
-helpers provided here.
+Concrete schemes are placement policy: each states its layout
+(:meth:`Scheme._layout` — which providers, which codec) and the one
+put/read/update/remove path here executes it.
 """
 
 from __future__ import annotations
@@ -36,17 +37,23 @@ from repro.cloud.errors import (
     ProviderUnavailable,
     TransientProviderError,
 )
-from repro.cloud.gcsapi import GcsApi
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
+from repro.core.dispatcher import DispatchDecision
 from repro.core.recovery import LoggedWrite, WriteLog
 from repro.core.resilience import CircuitBreaker, ProviderHealth, ResilienceConfig
 from repro.erasure import gfkernel
-from repro.erasure.codec import ErasureCodec
+from repro.erasure.codec import ErasureCodec, get_codec
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.fs.journal import IntentJournal
 from repro.fs.metadata import MetadataStore, group_key, is_group_key
-from repro.fs.namespace import FileEntry, Namespace, dirname, normalize_path
+from repro.fs.namespace import (
+    FileEntry,
+    Namespace,
+    dirname,
+    normalize_path,
+    storage_key,
+)
 from repro.metrics.collector import LatencyCollector, OpReport
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.trace import NOOP_TRACER
@@ -399,6 +406,10 @@ class Scheme(ABC):
     #: second copy is a sync step after the primary write completes)
     sequential_replication: bool = False
 
+    #: data writes ack once this many placements landed, stragglers finish
+    #: in the background (DepSky's ``n - f`` quorum); None waits for all
+    write_quorum: int | None = None
+
     #: how many times a request is retried after a transient provider
     #: failure (HTTP 500/throttle) before being treated as failed; folded
     #: into the default :class:`~repro.core.resilience.RetryPolicy` when no
@@ -427,7 +438,9 @@ class Scheme(ABC):
         names = [p.name for p in providers]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate provider names: {names}")
-        self.api = GcsApi(providers)
+        #: the paper's GCS-API: every provider by name, each exposing the
+        #: five passive ops (create/list/get/put/remove)
+        self.providers: dict[str, SimulatedProvider] = {p.name: p for p in providers}
         self.clock = clock
         self.link = link if link is not None else ClientLink()
         self.seed = seed
@@ -481,6 +494,8 @@ class Scheme(ABC):
         #: reads that return the identical stored buffer
         self._digest_cache = _DigestCache()
         self._payload_cache = _PayloadCache()
+        #: codecs rebuilt from entries' recorded parameters (see _codec_for)
+        self._codecs: dict[tuple[str, tuple[tuple[str, int], ...]], ErasureCodec] = {}
         self._acc: _OpAcc | None = None
         self._meta_sizes: dict[str, int] = {}
         #: tenant attribution for the op currently in flight — set via
@@ -520,7 +535,7 @@ class Scheme(ABC):
         consistency update repairs the container exactly like any missed
         mutation instead of leaving it silently absent.
         """
-        for p in self.api.providers():
+        for p in self.providers.values():
             for _ in range(self.retry_policy.max_attempts):
                 try:
                     p.create(self.container, exist_ok=True)
@@ -609,10 +624,10 @@ class Scheme(ABC):
 
     @property
     def provider_names(self) -> list[str]:
-        return self.api.names()
+        return list(self.providers)
 
     def provider(self, name: str) -> SimulatedProvider:
-        return self.api.provider(name)
+        return self.providers[name]
 
     # ------------------------------------------------------- phase execution
     def _estimate_latency(self, name: str, size: int, direction: str = "down") -> float:
@@ -1249,10 +1264,7 @@ class Scheme(ABC):
         if self._acc is not None:
             self._acc.degraded = True
 
-    # ----------------------------------------------------- placement helpers
-    def _fragment_key(self, path: str, index: int, version: int) -> str:
-        return f"{path}#v{version}.{index}"
-
+    # ----------------------------------------------------- integrity digests
     @staticmethod
     def _digest(data: bytes) -> str:
         """Fragment integrity digest (HAIL-style verification, cited [8])."""
@@ -1293,48 +1305,165 @@ class Scheme(ABC):
         self._digest_cache.record(key, data, expected)
         return True
 
-    def _write_replicated(
-        self, key_base: str, data: bytes, providers: list[str], version: int
-    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
-        """Put identical copies on each provider.
+    # ------------------------------------------------------------- data path
+    @abstractmethod
+    def _layout(self, path: str, data: bytes) -> DispatchDecision:
+        """Where and how a new version of ``path`` holding ``data`` goes.
 
-        Returns ``(placements, digests)`` — one digest per replica slot so
-        reads can detect provider-side corruption.  Copies are written in
-        parallel (they contend on the uplink — the DuraCloud effect).
-        Unavailable providers are write-logged, so the placement list always
-        covers every intended replica.
+        The one thing a concrete scheme states: the providers in fragment
+        index order, the codec (None for whole copies) and the new entry's
+        ``klass``, ``codec`` and ``codec_params``.  The put, read, update
+        and remove paths below execute it.
         """
+
+    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
+        """Codec that decodes ``entry``'s placements; None for replicas.
+
+        Rebuilt from the entry's recorded parameters, not from the scheme's
+        current layout: after a re-evaluation or a provider decommission a
+        scheme may stripe new objects differently, but existing objects
+        must keep decoding with their original geometry.
+        """
+        if entry.replicated:
+            return None
+        key = (entry.codec, entry.codec_params)
+        codec = self._codecs.get(key)
+        if codec is None:
+            params = dict(entry.codec_params)
+            if entry.codec == "raid5":
+                codec = get_codec("raid5", k=params["k"])
+            elif entry.codec == "rs":
+                codec = get_codec("rs", k=params["k"], m=params["m"])
+            elif entry.codec == "fmsr":
+                codec = get_codec("fmsr", n=params["k"] + params["m"], k=params["k"])
+            else:
+                raise ValueError(f"unknown codec {entry.codec!r} on {entry.path!r}")
+            self._codecs[key] = codec
+        return codec
+
+    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
+        """Write a new version of ``path`` where :meth:`_layout` says.
+
+        Whole copies, or one encoded fragment per provider, put under the
+        scheme's write discipline (:meth:`_scatter`).  Providers inside an
+        outage are write-logged, so the placements always cover the whole
+        layout.  One digest per placement lets reads detect provider-side
+        corruption.
+        """
+        layout = self._layout(path, data)
+        version = prev.version + 1 if prev else 1
+        providers = list(layout.providers)
+        codec = layout.codec
+        if codec is not None and len(providers) != codec.n:
+            raise ValueError(
+                f"{codec!r} needs {codec.n} providers, got {len(providers)}"
+            )
+        keys = [
+            storage_key(path, version, None if codec is None else i)
+            for i in range(len(providers))
+        ]
         self._heal_before_touching(set(providers))
-        key = f"{key_base}#v{version}"
         self._journal_plan(
             version=version,
-            codec_name="replication",
-            replicated=True,
-            min_needed=1,
-            sites=tuple((p, key) for p in providers),
+            codec_name=layout.codec_name,
+            replicated=codec is None,
+            min_needed=1 if codec is None else codec.k,
+            sites=tuple(zip(providers, keys)),
         )
-        ops = [CloudOp(p, "put", self.container, key, data) for p in providers]
+        if codec is None:
+            self._scatter(
+                [CloudOp(p, "put", self.container, keys[0], data) for p in providers]
+            )
+            digests = (self._record_digest(keys[0], data),) * len(providers)
+        else:
+            fragments = self._encode_fragments(codec, data)
+            self._scatter(
+                [
+                    CloudOp(p, "put", self.container, key, fragment)
+                    for p, key, fragment in zip(providers, keys, fragments)
+                ]
+            )
+            digests = self._digest_fragments(keys, fragments)
+            if isinstance(data, bytes):
+                self._payload_cache.record(storage_key(path, version), fragments, data)
+        now = self.clock.now
+        return FileEntry(
+            path=path,
+            size=len(data),
+            version=version,
+            codec=layout.codec_name,
+            codec_params=layout.codec_params,
+            placements=tuple((p, i) for i, p in enumerate(providers)),
+            klass=layout.klass,
+            created=prev.created if prev else now,
+            modified=now,
+            digests=digests,
+        )
+
+    def _scatter(self, ops: list[CloudOp]) -> None:
+        """Run one data write under the scheme's write discipline.
+
+        Parallel by default (copies contend on the uplink — the DuraCloud
+        effect); one put per phase with :attr:`sequential_replication`;
+        with :attr:`write_quorum` the write acks at the quorum-th landed
+        put and stragglers finish in the background — too few landed, and
+        it waits for every one that did and is degraded.
+        """
         if self.sequential_replication:
             for op in ops:
                 self._run_phase([op])
-        else:
+            return
+        quorum = self.write_quorum
+        if quorum is None:
             self._run_phase(ops)
-        digest = self._record_digest(key, data)
-        return [(p, i) for i, p in enumerate(providers)], (digest,) * len(providers)
+            return
+        phase = self._run_phase(ops, advance=False)
+        finishes = sorted(o.finish for o in phase.succeeded())
+        if len(finishes) >= quorum:
+            self.clock.advance(finishes[quorum - 1])
+        elif finishes:
+            self.clock.advance(finishes[-1])
+            self._mark_degraded()
 
-    def _read_replicated(
-        self,
-        key_base: str,
-        size: int,
-        providers: list[str],
-        version: int,
-        digest: str | None = None,
-    ) -> tuple[bytes, bool]:
+    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
+        """Fetch and reconstruct content; returns (data, degraded)."""
+        codec = self._codec_for(entry)
+        if codec is None:
+            return self._read_replicated(entry)
+        return self._read_striped(entry, codec)
+
+    def _update_file(
+        self, entry: FileEntry, offset: int, patch: bytes, new_content: bytes
+    ) -> FileEntry:
+        """Write ``patch`` at ``offset``; ``new_content`` is the result.
+
+        A same-size update of a systematic stripe is patched in place
+        (:meth:`_rmw_striped`).  Everything else is a full put: replicas,
+        size changes (shard boundaries move), and codes whose every
+        fragment mixes every byte.
+        """
+        codec = self._codec_for(entry)
+        if codec is not None and codec.systematic and len(new_content) == entry.size:
+            return self._rmw_striped(entry, offset, patch, new_content, codec)
+        return self._put_file(entry.path, new_content, entry)
+
+    def _remove_file(self, entry: FileEntry) -> None:
+        """Delete the entry's objects from the clouds."""
+        self._payload_cache.discard(storage_key(entry.path, entry.version))
+        self._heal_before_touching(set(entry.providers))
+        self._run_phase(
+            [
+                CloudOp(prov, "remove", self.container, entry.storage_key(idx))
+                for prov, idx in entry.placements
+            ]
+        )
+
+    def _read_replicated(self, entry: FileEntry) -> tuple[bytes, bool]:
         """Read one replica, fastest-available first; degraded on fallback.
 
-        When ``digest`` is given every fetched copy is verified; a corrupt
-        replica is treated like an unavailable one and the next copy serves
-        (HAIL's availability-through-verification behaviour).
+        When the entry records a digest every fetched copy is verified; a
+        corrupt replica is treated like an unavailable one and the next copy
+        serves (HAIL's availability-through-verification behaviour).
 
         Ranking is health-adaptive (a browned-out replica loses its
         preferred slot) and, when
@@ -1343,8 +1472,10 @@ class Scheme(ABC):
         a backup request fires at the next-ranked replica once the primary
         overruns its estimated p95 latency — the first intact response wins.
         """
-        key = f"{key_base}#v{version}"
-        ranked = self._rank_providers(list(providers), size, "down", adaptive=True)
+        key = storage_key(entry.path, entry.version)
+        size = entry.size
+        digest = entry.digests[0] if entry.digests else None
+        ranked = self._rank_providers(list(entry.providers), size, "down", adaptive=True)
         last_error: Exception | None = None
 
         def usable(name: str) -> bool:
@@ -1396,7 +1527,8 @@ class Scheme(ABC):
             last_error = outcome.error
         detail = f" ({last_error})" if last_error is not None else ""
         raise DataUnavailable(
-            key_base, f"no intact replica reachable on {providers}{detail}"
+            entry.path,
+            f"no intact replica reachable on {list(entry.providers)}{detail}",
         )
 
     def _hedged_fetch(
@@ -1528,85 +1660,37 @@ class Scheme(ABC):
         ).inc(len(data))
         return fragments
 
-    def _write_striped(
-        self,
-        key_base: str,
-        data: bytes,
-        codec: ErasureCodec,
-        providers: list[str],
-        version: int,
-    ) -> tuple[list[tuple[str, int]], tuple[str, ...]]:
-        """Encode and scatter fragments, one per provider, in parallel.
-
-        Returns ``(placements, per-fragment digests)``."""
-        if len(providers) != codec.n:
-            raise ValueError(
-                f"{codec!r} needs {codec.n} providers, got {len(providers)}"
-            )
-        self._heal_before_touching(set(providers))
-        self._journal_plan(
-            version=version,
-            codec_name=type(codec).__name__,
-            replicated=False,
-            min_needed=codec.k,
-            sites=tuple(
-                (p, self._fragment_key(key_base, i, version))
-                for i, p in enumerate(providers)
-            ),
-        )
-        fragments = self._encode_fragments(codec, data)
-        ops = [
-            CloudOp(p, "put", self.container, self._fragment_key(key_base, i, version), fragments[i])
-            for i, p in enumerate(providers)
-        ]
-        self._run_phase(ops)
-        digests = self._digest_fragments(
-            [self._fragment_key(key_base, i, version) for i in range(len(fragments))],
-            fragments,
-        )
-        if isinstance(data, bytes):
-            self._payload_cache.record(f"{key_base}#v{version}", fragments, data)
-        return [(p, i) for i, p in enumerate(providers)], digests
-
-    def _read_striped(
-        self,
-        key_base: str,
-        size: int,
-        codec: ErasureCodec,
-        placements: list[tuple[str, int]],
-        version: int,
-        prefer_systematic: bool = True,
-        digests: tuple[str, ...] | None = None,
-    ) -> tuple[bytes, bool]:
+    def _read_striped(self, entry: FileEntry, codec: ErasureCodec) -> tuple[bytes, bool]:
         """Fetch k fragments and decode; reconstruct through parity when
         a preferred provider is out (the degraded read of §III-C).
 
-        With ``digests``, every fetched fragment is verified and a corrupt
-        one counts as an erasure — reconstruction routes around silent
-        provider-side corruption exactly like an outage."""
-        by_index = {idx: prov for prov, idx in placements}
+        A systematic code prefers its data fragments; for any other code
+        every k-subset decodes alike, so the fastest k serve.  When the
+        entry records digests, every fetched fragment is verified and a
+        corrupt one counts as an erasure — reconstruction routes around
+        silent provider-side corruption exactly like an outage."""
+        path, size, digests = entry.path, entry.size, entry.digests
+        by_index = {idx: prov for prov, idx in entry.placements}
         if len(by_index) < codec.k:
-            raise DataUnavailable(key_base, "placement lost too many fragments")
+            raise DataUnavailable(path, "placement lost too many fragments")
+        keys = {idx: entry.storage_key(idx) for idx in by_index}
 
         def fetch(idx: int) -> CloudOp:
-            key = self._fragment_key(key_base, idx, version)
-            return CloudOp(by_index[idx], "get", self.container, key)
+            return CloudOp(by_index[idx], "get", self.container, keys[idx])
 
         def usable(idx: int) -> bool:
             prov = by_index[idx]
-            key = self._fragment_key(key_base, idx, version)
             return self._provider_usable(prov) and not self._write_logs[
                 prov
-            ].has_pending(self.container, key)
+            ].has_pending(self.container, keys[idx])
 
         def verified(idx: int, data: bytes) -> bool:
-            if digests is None or idx >= len(digests):
+            if idx >= len(digests):
                 return True
-            key = self._fragment_key(key_base, idx, version)
-            return self._verify_digest(key, data, digests[idx])
+            return self._verify_digest(keys[idx], data, digests[idx])
 
         order = sorted(by_index)  # systematic data fragments first
-        if not prefer_systematic:
+        if not codec.systematic:
             order = self._rank_providers_by_index(by_index, size, codec)
         preferred = order[: codec.k]
         # Degraded means a fragment the static policy wanted was out of
@@ -1616,8 +1700,7 @@ class Scheme(ABC):
         decision = None
         if self.scheduler is not None:
             decision = self.scheduler.decide(
-                key_base, by_index, size, codec, usable,
-                systematic=prefer_systematic,
+                path, by_index, size, codec, usable, systematic=codec.systematic
             )
             if len(decision.order) >= codec.k:
                 order = list(decision.order)
@@ -1627,8 +1710,7 @@ class Scheme(ABC):
         chosen = [i for i in order if usable(i)][: codec.k]
         if len(chosen) < codec.k:
             raise DataUnavailable(
-                key_base,
-                f"only {len(chosen)} of {codec.k} required fragments reachable",
+                path, f"only {len(chosen)} of {codec.k} required fragments reachable"
             )
         won = None
         if decision is not None and decision.hedge is not None:
@@ -1683,10 +1765,10 @@ class Scheme(ABC):
                         fragments[i] = data
             degraded = True
         if len(fragments) < codec.k:
-            raise DataUnavailable(key_base, "lost fragments mid-read")
+            raise DataUnavailable(path, "lost fragments mid-read")
         if degraded:
             self._mark_degraded()
-        cached = self._payload_cache.lookup(f"{key_base}#v{version}", fragments)
+        cached = self._payload_cache.lookup(storage_key(path, entry.version), fragments)
         if cached is not None:
             # Every fetched fragment is the exact object encoded at write
             # time, so the decode result is provably the cached payload.
@@ -1740,26 +1822,15 @@ class Scheme(ABC):
         # journaled post-update payload.
         self._journal_plan(
             version=entry.version,
-            codec_name=type(codec).__name__,
+            codec_name=entry.codec,
             replicated=False,
             min_needed=0,
-            sites=tuple(
-                (
-                    providers_by_index[i],
-                    self._fragment_key(entry.path, i, entry.version),
-                )
-                for i in touched
-            ),
+            sites=tuple((providers_by_index[i], entry.storage_key(i)) for i in touched),
         )
 
         # Phase 1: read old affected data fragments and old parities.
         read_ops = [
-            CloudOp(
-                providers_by_index[i],
-                "get",
-                self.container,
-                self._fragment_key(entry.path, i, entry.version),
-            )
+            CloudOp(providers_by_index[i], "get", self.container, entry.storage_key(i))
             for i in touched
         ]
         read_phase = self._run_phase(read_ops)
@@ -1772,11 +1843,7 @@ class Scheme(ABC):
         fragments = self._encode_fragments(codec, new_content)
         write_ops = [
             CloudOp(
-                providers_by_index[i],
-                "put",
-                self.container,
-                self._fragment_key(entry.path, i, entry.version),
-                fragments[i],
+                providers_by_index[i], "put", self.container, entry.storage_key(i), fragments[i]
             )
             for i in touched
         ]
@@ -1790,8 +1857,7 @@ class Scheme(ABC):
         new_digests = []
         for i, f in enumerate(fragments):
             if i in touched_set:
-                key = self._fragment_key(entry.path, i, entry.version)
-                new_digests.append(self._record_digest(key, f))
+                new_digests.append(self._record_digest(entry.storage_key(i), f))
             elif entry.digests is not None and i < len(entry.digests):
                 new_digests.append(entry.digests[i])
             else:
@@ -1799,11 +1865,10 @@ class Scheme(ABC):
         # The rewritten keys freed their old stored objects, so the stale
         # payload entry must go; re-record only when every fragment was
         # rewritten (otherwise some recorded ids would be dangling views).
-        self._payload_cache.discard(f"{entry.path}#v{entry.version}")
+        cache_key = storage_key(entry.path, entry.version)
+        self._payload_cache.discard(cache_key)
         if isinstance(new_content, bytes) and len(touched_set) == codec.n:
-            self._payload_cache.record(
-                f"{entry.path}#v{entry.version}", fragments, new_content
-            )
+            self._payload_cache.record(cache_key, fragments, new_content)
         return replace(entry, modified=self.clock.now, digests=tuple(new_digests))
 
     def _note_sched_decision(self, decision, by_index: dict[int, str]) -> None:
@@ -1862,24 +1927,11 @@ class Scheme(ABC):
             key=lambda i: self._estimate_latency(by_index[i], frag_size, "down"),
         )
 
-    def _remove_placements(
-        self, key_base: str, placements: list[tuple[str, int]], version: int, replicated: bool
-    ) -> None:
-        self._heal_before_touching({p for p, _ in placements})
-        ops = []
-        for prov, idx in placements:
-            key = (
-                f"{key_base}#v{version}"
-                if replicated
-                else self._fragment_key(key_base, idx, version)
-            )
-            ops.append(CloudOp(prov, "remove", self.container, key))
-        self._run_phase(ops)
-
     # --------------------------------------------------- metadata management
-    @abstractmethod
     def _meta_write_targets(self) -> list[str]:
-        """Providers that receive directory metadata groups (scheme policy)."""
+        """Providers that receive directory metadata groups: all of them,
+        unless the scheme keeps metadata on a subset."""
+        return list(self.provider_names)
 
     def _meta_codec(self) -> ErasureCodec | None:
         """Codec for metadata groups; None means plain replication."""
@@ -2030,11 +2082,7 @@ class Scheme(ABC):
                 if entries:
                     self._meta_sizes[directory] = len(blob)
                     self.meta.touch(directory)
-            self._after_namespace_recovery()
         return op.report
-
-    def _after_namespace_recovery(self) -> None:
-        """Hook for schemes that keep per-object client state (NCCloud)."""
 
     def _journaled_meta_blob(self, directory: str) -> bytes | None:
         """Redo image of ``directory``'s group from a pending intent, if any."""
@@ -2192,18 +2240,15 @@ class Scheme(ABC):
             # Removes know their plan up front: the keys being deleted.  A
             # crashed remove always rolls forward (the client already acked
             # nothing, and half-deleted redundancy is worthless).
-            codec = self._codec_for(entry)
             self._journal_plan(
                 version=entry.version,
                 codec_name=entry.codec,
-                replicated=codec is None,
+                replicated=entry.replicated,
                 min_needed=0,
                 sites=tuple(
-                    (prov, self._placement_storage_key(entry, idx, codec is None))
-                    for prov, idx in entry.placements
+                    (prov, entry.storage_key(idx)) for prov, idx in entry.placements
                 ),
             )
-            self._payload_cache.discard(f"{entry.path}#v{entry.version}")
             self._remove_file(entry)
             self._persist_metadata(dirname(path))
         return op.report
@@ -2248,7 +2293,7 @@ class Scheme(ABC):
             entry = self._update_file(prev, patch[0], patch[1], data)
         self.namespace.upsert(entry)
         if prev is not None and self._placement_changed(prev, entry):
-            self._remove_stale_fragments(prev)
+            self._remove_file(prev)  # GC the superseded version
         self._persist_metadata(dirname(path))
 
     # ------------------------------------------------- content introspection
@@ -2263,11 +2308,7 @@ class Scheme(ABC):
         codec = self._codec_for(entry)
         for prov, idx in entry.placements:
             store = self.provider(prov).store
-            key = (
-                f"{entry.path}#v{entry.version}"
-                if codec is None
-                else self._fragment_key(entry.path, idx, entry.version)
-            )
+            key = entry.storage_key(idx)
             # A pending write-log entry supersedes whatever the provider
             # currently stores: the stored object is stale until the
             # consistency update replays the log.
@@ -2294,37 +2335,6 @@ class Scheme(ABC):
             or old.placements != new.placements
             or old.codec != new.codec
         )
-
-    def _remove_stale_fragments(self, old: FileEntry) -> None:
-        """Garbage-collect the previous version's objects."""
-        self._payload_cache.discard(f"{old.path}#v{old.version}")
-        codec = self._codec_for(old)
-        self._remove_placements(
-            old.path, list(old.placements), old.version, replicated=codec is None
-        )
-
-    # --------------------------------------------------------- scheme policy
-    @abstractmethod
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        """Codec used for this entry's data (None = replication)."""
-
-    @abstractmethod
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        """Place a new version of ``path``; returns the new entry."""
-
-    @abstractmethod
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
-        """Fetch and reconstruct content; returns (data, degraded)."""
-
-    @abstractmethod
-    def _remove_file(self, entry: FileEntry) -> None:
-        """Delete the entry's objects from the clouds."""
-
-    def _update_file(
-        self, entry: FileEntry, offset: int, patch: bytes, new_content: bytes
-    ) -> FileEntry:
-        """Default partial-update: rewrite the whole object."""
-        return self._put_file(entry.path, new_content, entry)
 
     # ------------------------------------------------------- maintenance plane
     def attach_maintenance(self, config=None, *, loop=None, ledger=None):
@@ -2563,11 +2573,7 @@ class Scheme(ABC):
             entry = self.namespace.lookup(path)
             if entry is None:
                 continue
-            codec = self._codec_for(entry)
-            for prov, idx in entry.placements:
-                expected.add(
-                    self._placement_storage_key(entry, idx, codec is None)
-                )
+            expected.update(entry.storage_key(idx) for _, idx in entry.placements)
         expected |= self._extra_expected_keys()
         return expected
 
@@ -2582,8 +2588,7 @@ class Scheme(ABC):
         expected = self._expected_keys()
         removed: dict[str, int] = {}
         plane = self.maintenance
-        for p in self.api.providers():
-            name = p.name
+        for name, p in self.providers.items():
             if not p.is_available():
                 continue
             with self._op("recover", f"orphan-sweep:{name}"):
@@ -2618,21 +2623,10 @@ class Scheme(ABC):
                         ).inc(ok)
         return removed
 
-    def _placement_storage_key(self, entry: FileEntry, idx: int, replicated: bool) -> str:
-        return (
-            f"{entry.path}#v{entry.version}"
-            if replicated
-            else self._fragment_key(entry.path, idx, entry.version)
-        )
-
     def _expected_digest(self, entry: FileEntry, idx: int) -> str | None:
         if entry.digests and idx < len(entry.digests):
             return entry.digests[idx]
         return None
-
-    def _min_needed(self, entry: FileEntry, codec: ErasureCodec | None) -> int:
-        """Intact placements required to reconstruct ``entry``'s payload."""
-        return 1 if codec is None else codec.k
 
     def verify_object(self, path: str, deep: bool = True) -> ObjectAudit:
         """Audit every placement of ``path`` (one ``scrub`` op).
@@ -2651,13 +2645,10 @@ class Scheme(ABC):
 
     def _audit_entry(self, entry: FileEntry, deep: bool) -> ObjectAudit:
         """Audit one entry inside the current op accounting."""
-        codec = self._codec_for(entry)
-        replicated = codec is None
-        min_needed = self._min_needed(entry, codec)
         findings: list[VerifyFinding] = []
         probe_sites: list[tuple[str, int, str]] = []
         for prov, idx in entry.placements:
-            key = self._placement_storage_key(entry, idx, replicated)
+            key = entry.storage_key(idx)
             if self._write_logs[prov].has_pending(self.container, key):
                 findings.append(VerifyFinding(entry.path, prov, key, "stale", idx))
             elif not self._provider_usable(prov):
@@ -2701,7 +2692,7 @@ class Scheme(ABC):
             checked=checked,
             bytes_verified=bytes_verified,
             total=len(entry.placements),
-            min_needed=min_needed,
+            min_needed=entry.min_needed,
         )
 
     def repair_object(self, path: str, audit: ObjectAudit | None = None) -> RepairResult:
@@ -2815,7 +2806,7 @@ class Scheme(ABC):
     # --------------------------------------------------------------- queries
     def stored_bytes_by_provider(self) -> dict[str, int]:
         """Physical bytes currently stored per provider (space-overhead view)."""
-        return {p.name: p.store.total_bytes() for p in self.api.providers()}
+        return {name: p.store.total_bytes() for name, p in self.providers.items()}
 
     def total_stored_bytes(self) -> int:
         return sum(self.stored_bytes_by_provider().values())

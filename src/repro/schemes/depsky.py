@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
-from repro.erasure.codec import ErasureCodec
-from repro.fs.namespace import FileEntry
+from repro.core.dispatcher import DispatchDecision
+from repro.fs.namespace import FileEntry, storage_key
 from repro.schemes.base import CloudOp, DataUnavailable, Scheme
 from repro.sim.clock import SimClock
 
@@ -52,50 +52,12 @@ class DepSkyScheme(Scheme):
     def write_quorum(self) -> int:
         return len(self.replicas) - self.f
 
-    # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        return None
-
-    def _quorum_write(self, key: str, data: bytes) -> list[tuple[str, int]]:
-        self._heal_before_touching(set(self.replicas))
-        ops = [CloudOp(p, "put", self.container, key, data) for p in self.replicas]
-        phase = self._run_phase(ops, advance=False)
-        finishes = sorted(o.finish for o in phase.succeeded())
-        if len(finishes) >= self.write_quorum:
-            # Ack at the quorum; stragglers complete in the background.
-            self.clock.advance(finishes[self.write_quorum - 1])
-        elif finishes:
-            self.clock.advance(finishes[-1])
-            self._mark_degraded()
-        return [(p, i) for i, p in enumerate(self.replicas)]
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        version = prev.version + 1 if prev else 1
-        key = f"{path}#v{version}"
-        self._journal_plan(
-            version=version,
-            codec_name="replication",
-            replicated=True,
-            min_needed=1,
-            sites=tuple((p, key) for p in self.replicas),
-        )
-        placements = self._quorum_write(key, data)
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="replication",
-            placements=tuple(placements),
-            klass="quorum",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=(self._digest(data),) * len(placements),
-        )
+    def _layout(self, path: str, data: bytes) -> DispatchDecision:
+        return DispatchDecision("quorum", None, tuple(self.replicas))
 
     def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
         """Fetch from the fastest available cloud + verify f version probes."""
-        key = f"{entry.path}#v{entry.version}"
+        key = storage_key(entry.path, entry.version)
         ranked = self._rank_providers(list(entry.providers), entry.size, "down")
         degraded = False
         for name in ranked:
@@ -123,11 +85,3 @@ class DepSkyScheme(Scheme):
                 return outcome.data, degraded
             degraded = True
         raise DataUnavailable(entry.path, f"no quorum replica reachable ({ranked})")
-
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=True
-        )
-
-    def _meta_write_targets(self) -> list[str]:
-        return list(self.replicas)

@@ -23,9 +23,10 @@ import json
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
+from repro.core.dispatcher import DispatchDecision
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.reed_solomon import ReedSolomonCode
-from repro.fs.namespace import FileEntry
+from repro.fs.namespace import FileEntry, storage_key
 from repro.schemes.base import CloudOp, DataUnavailable, Scheme
 from repro.security.cipher import keystream_cipher, random_key
 from repro.security.secret_sharing import combine_secret, share_secret
@@ -89,72 +90,58 @@ class DepSkyCAScheme(Scheme):
         fragment = blob[2 + hlen + share_len :]
         return fragment, share, header["share_index"]
 
-    # ----------------------------------------------------------- placement
+    def _layout(self, path: str, data: bytes) -> DispatchDecision:
+        return DispatchDecision(
+            "confidential",
+            self.codec,
+            tuple(self.clouds),
+            codec_name="rs",
+            codec_params=(("k", self.codec.k), ("m", self.codec.n - self.codec.k)),
+        )
+
     def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        # Bundles are bespoke objects; generic helpers must not re-frame them.
+        # Bundles are bespoke objects; generic helpers must not re-frame them
+        # (so updates are full re-puts: fresh key, shares and fragments).
         return None
 
-    def _placement_storage_key(self, entry: FileEntry, idx: int, replicated: bool) -> str:
-        # Bundles live under fragment keys even though _codec_for is None.
-        return self._fragment_key(entry.path, idx, entry.version)
-
-    def _min_needed(self, entry: FileEntry, codec: ErasureCodec | None) -> int:
-        # f+1 bundles reconstruct: k RS fragments and k key shares each.
-        return self.f + 1
-
     def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
+        layout = self._layout(path, data)
         version = prev.version + 1 if prev else 1
+        keys = [storage_key(path, version, i) for i in range(len(layout.providers))]
         # f+1 landed bundles reconstruct (fragment + share each), so that is
         # the roll-forward threshold after a crash mid-scatter.
         self._journal_plan(
             version=version,
-            codec_name=type(self.codec).__name__,
+            codec_name=layout.codec_name,
             replicated=False,
-            min_needed=self.f + 1,
-            sites=tuple(
-                (cloud, self._fragment_key(path, i, version))
-                for i, cloud in enumerate(self.clouds)
-            ),
+            min_needed=self.codec.k,
+            sites=tuple(zip(layout.providers, keys)),
         )
         key = random_key(self.rng)
         ciphertext = keystream_cipher(key, data)
         fragments = self.codec.encode(ciphertext)
         shares = share_secret(key, n=len(self.clouds), k=self.f + 1, rng=self.rng)
 
-        self._heal_before_touching(set(self.clouds))
+        self._heal_before_touching(set(layout.providers))
         ops = [
-            CloudOp(
-                cloud,
-                "put",
-                self.container,
-                self._fragment_key(path, i, version),
-                self._bundle(fragments[i], shares[i], i),
-            )
-            for i, cloud in enumerate(self.clouds)
+            CloudOp(cloud, "put", self.container, keys[i], self._bundle(fragments[i], shares[i], i))
+            for i, cloud in enumerate(layout.providers)
         ]
-        phase = self._run_phase(ops, advance=False)
-        finishes = sorted(o.finish for o in phase.succeeded())
-        if len(finishes) >= self.write_quorum:
-            self.clock.advance(finishes[self.write_quorum - 1])
-        elif finishes:
-            self.clock.advance(finishes[-1])
-            self._mark_degraded()
+        self._scatter(ops)
 
         self._keys[(path, version)] = key
-        self._keys.pop((path, version - 1), None)
         now = self.clock.now
-        bundle_digests = tuple(self._digest(op.data or b"") for op in ops)
         return FileEntry(
             path=path,
             size=len(data),
             version=version,
-            codec="rs",
-            codec_params=(("k", self.codec.k), ("m", self.codec.n - self.codec.k)),
-            placements=tuple((cloud, i) for i, cloud in enumerate(self.clouds)),
-            klass="confidential",
+            codec=layout.codec_name,
+            codec_params=layout.codec_params,
+            placements=tuple((cloud, i) for i, cloud in enumerate(layout.providers)),
+            klass=layout.klass,
             created=prev.created if prev else now,
             modified=now,
-            digests=bundle_digests,
+            digests=tuple(self._digest(op.data or b"") for op in ops),
         )
 
     def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
@@ -166,7 +153,7 @@ class DepSkyCAScheme(Scheme):
             for i in order
             if self.provider(by_index[i]).is_available()
             and not self._write_logs[by_index[i]].has_pending(
-                self.container, self._fragment_key(entry.path, i, entry.version)
+                self.container, entry.storage_key(i)
             )
         ]
         degraded = any(i not in usable for i in order[:need])
@@ -176,12 +163,7 @@ class DepSkyCAScheme(Scheme):
                 entry.path, f"only {len(chosen)} of {need} bundles reachable"
             )
         ops = [
-            CloudOp(
-                by_index[i],
-                "get",
-                self.container,
-                self._fragment_key(entry.path, i, entry.version),
-            )
+            CloudOp(by_index[i], "get", self.container, entry.storage_key(i))
             for i in chosen
         ]
         phase = self._run_phase(ops)
@@ -207,14 +189,7 @@ class DepSkyCAScheme(Scheme):
                 if i in fragments or i in chosen:
                     continue
                 retry = self._run_phase(
-                    [
-                        CloudOp(
-                            by_index[i],
-                            "get",
-                            self.container,
-                            self._fragment_key(entry.path, i, entry.version),
-                        )
-                    ]
+                    [CloudOp(by_index[i], "get", self.container, entry.storage_key(i))]
                 )
                 blob = retry.outcomes[0].data
                 if retry.outcomes[0].ok and blob is not None:
@@ -231,10 +206,8 @@ class DepSkyCAScheme(Scheme):
         if len(fragments) < need:
             raise DataUnavailable(entry.path, "lost bundles mid-read")
         key = combine_secret(shares, k=self.f + 1)
-        cipher_len = self.codec.fragment_size(entry.size) * self.codec.k
         # Ciphertext length equals plaintext length; decode to it exactly.
         ciphertext = self.codec.decode(fragments, entry.size)
-        _ = cipher_len
         data = keystream_cipher(key, ciphertext)
         if degraded:
             self._mark_degraded()
@@ -245,7 +218,7 @@ class DepSkyCAScheme(Scheme):
         fragments: dict[int, bytes] = {}
         shares: dict[int, bytes] = {}
         for prov, idx in entry.placements:
-            key_name = self._fragment_key(entry.path, idx, entry.version)
+            key_name = entry.storage_key(idx)
             logged = self._logged_payload(prov, key_name)
             blob = None
             if logged is not None:
@@ -263,31 +236,13 @@ class DepSkyCAScheme(Scheme):
         return keystream_cipher(key, ciphertext)
 
     def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=False
-        )
+        super()._remove_file(entry)
         self._keys.pop((entry.path, entry.version), None)
-
-    def _remove_stale_fragments(self, old: FileEntry) -> None:
-        # Bundles live under fragment keys even though _codec_for is None
-        # (they are bespoke framed objects, not generic replicas).
-        self._remove_placements(
-            old.path, list(old.placements), old.version, replicated=False
-        )
-        self._keys.pop((old.path, old.version), None)
-
-    # ------------------------------------------------------------- metadata
-    def _meta_write_targets(self) -> list[str]:
-        # Metadata (names, sizes, placements) is not confidential in
-        # DepSky-CA either; replicate it on every cloud for availability.
-        return list(self.clouds)
 
     # ------------------------------------------------------- confidentiality
     def provider_view(self, provider: str, path: str) -> bytes:
         """Everything one provider stores for a path (for leakage tests)."""
         entry = self.namespace.get(path)
         idx = entry.fragment_index(provider)
-        blob = self.provider(provider).store.get(
-            self.container, self._fragment_key(path, idx, entry.version)
-        )
+        blob = self.provider(provider).store.get(self.container, entry.storage_key(idx))
         return blob.data

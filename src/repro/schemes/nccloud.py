@@ -5,8 +5,9 @@ permanent single-cloud failure, a conventional RS/RAID system downloads k
 fragments (the whole object) to rebuild one, while FMSR downloads just one
 chunk from each of the n-1 survivors — ``(n-1)/(k*(n-k))`` of the traffic.
 
-Per-object encoding-coefficient matrices are kept client-side (NCCloud
-persists them as object metadata); :meth:`repair_provider` performs the
+Per-object encoding-coefficient matrices are derived from (path, version);
+only those evolved by a functional repair are kept client-side (NCCloud
+persists them as object metadata).  :meth:`repair_provider` performs the
 functional repair for every object after a cloud is declared permanently
 failed and reports the traffic actually moved, which the repair benchmark
 compares against the decode-based repair of RACS.
@@ -14,10 +15,12 @@ compares against the decode-based repair of RACS.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
+from repro.core.dispatcher import DispatchDecision
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.fmsr import FMSRCode
 from repro.fs.namespace import FileEntry
@@ -26,6 +29,17 @@ from repro.sim.clock import SimClock
 from repro.sim.rng import stable_u64
 
 __all__ = ["NCCloudScheme"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _object_codec(n: int, k: int, path: str, version: int) -> FMSRCode:
+    """Per-object FMSR instance, deterministically seeded.
+
+    Memoized: drawing and MDS-checking a coefficient matrix costs
+    milliseconds, and every read, update and audit needs the code.  The
+    instances are immutable, so sharing them is safe.
+    """
+    return FMSRCode(n, k, seed=stable_u64("nccloud", path, version))
 
 
 class NCCloudScheme(Scheme):
@@ -47,74 +61,40 @@ class NCCloudScheme(Scheme):
         self.n = len(providers)
         self.k = self.n - 2
         self.stripe_providers = list(self.provider_names)
-        self._codecs: dict[str, FMSRCode] = {}
+        #: (path, version) -> the evolved code of a functionally repaired
+        #: object; every other object's code is derived from its key
+        self._repaired: dict[tuple[str, int], FMSRCode] = {}
 
-    def _object_codec(self, path: str, version: int) -> FMSRCode:
-        """Per-object FMSR instance, deterministically seeded."""
-        return FMSRCode(self.n, self.k, seed=stable_u64("nccloud", path, version))
-
-    # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        return self._codecs[entry.path]
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
+    def _layout(self, path: str, data: bytes) -> DispatchDecision:
+        # The put path writes version prev + 1, and FMSR coefficients are
+        # drawn per (path, version).
+        prev = self.namespace.lookup(path)
         version = prev.version + 1 if prev else 1
-        codec = self._object_codec(path, version)
-        placements, digests = self._write_striped(
-            path, data, codec, self.stripe_providers, version
-        )
-        self._codecs[path] = codec
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="fmsr",
+        return DispatchDecision(
+            "regenerating",
+            _object_codec(self.n, self.k, path, version),
+            tuple(self.stripe_providers),
+            codec_name="fmsr",
             codec_params=(("n", self.n), ("k", self.k)),
-            placements=tuple(placements),
-            klass="regenerating",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=digests,
         )
 
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
-        # FMSR is non-systematic: any k node fragments decode, so fetch the
-        # fastest k rather than preferring data fragments.
-        return self._read_striped(
-            entry.path,
-            entry.size,
-            self._codecs[entry.path],
-            list(entry.placements),
-            entry.version,
-            prefer_systematic=False,
-            digests=entry.digests or None,
-        )
+    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
+        """The object's FMSR code: evolved by a repair, else derived.
 
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=False
-        )
-        self._codecs.pop(entry.path, None)
-
-    # ------------------------------------------------------------- metadata
-    def _meta_write_targets(self) -> list[str]:
-        # NCCloud keeps object metadata replicated on every cloud.
-        return list(self.stripe_providers)
-
-    def _after_namespace_recovery(self) -> None:
-        """Rebuild per-object FMSR codecs after a client restart.
-
-        Encoding matrices are deterministic in (path, version), so a fresh
-        client re-derives them.  Limitation (documented): objects that went
-        through a *functional repair* carry an evolved ECM this cannot
-        reproduce — recovering those requires replaying the repair log,
+        Encoding matrices are deterministic in (path, version), so a
+        restarted client re-derives them on first use.  Limitation
+        (documented): a restarted client does not know the evolved code of
+        an object repaired before the restart — that needs the repair log,
         which NCCloud proper persists as object metadata.
         """
-        for path in self.namespace.paths():
-            entry = self.namespace.get(path)
-            if path not in self._codecs:
-                self._codecs[path] = self._object_codec(path, entry.version)
+        key = (entry.path, entry.version)
+        repaired = self._repaired.get(key)
+        return repaired if repaired is not None else _object_codec(self.n, self.k, *key)
+
+    def _remove_file(self, entry: FileEntry) -> None:
+        super()._remove_file(entry)
+        # A later object may reuse (path, version) after a remove.
+        self._repaired.pop((entry.path, entry.version), None)
 
     # ---------------------------------------------------------------- repair
     def repair_provider(self, failed: str, replacement: str | None = None) -> dict[str, int]:
@@ -139,7 +119,7 @@ class NCCloudScheme(Scheme):
         stats = {"objects": 0, "bytes_downloaded": 0, "bytes_uploaded": 0, "conventional_bytes": 0}
         for path in self.namespace.paths():
             entry = self.namespace.get(path)
-            codec = self._codecs[path]
+            codec = self._codec_for(entry)
             failed_idx = entry.fragment_index(failed)
             survivors = {
                 idx: prov for prov, idx in entry.placements if prov != failed
@@ -153,11 +133,10 @@ class NCCloudScheme(Scheme):
                 frags: dict[int, bytes] = {}
                 for idx, prov in sorted(survivors.items()):
                     store = self.provider(prov).store
-                    key = self._fragment_key(path, idx, entry.version)
-                    frags[idx] = store.get(self.container, key).data
+                    frags[idx] = store.get(self.container, entry.storage_key(idx)).data
                     self.provider(prov).meter.record_get(chunk_len, self.clock.now)
                 new_fragment, new_codec = codec.repair(frags, failed_idx, entry.size)
-                key = self._fragment_key(path, failed_idx, entry.version)
+                key = entry.storage_key(failed_idx)
                 self._run_phase([CloudOp(target, "put", self.container, key, new_fragment)])
                 # Charge the downloaded chunks' wire time in one batch.
                 specs = [
@@ -165,7 +144,7 @@ class NCCloudScheme(Scheme):
                     for prov in survivors.values()
                 ]
                 self.clock.advance(self.link.elapsed(downloads=specs))
-                self._codecs[path] = new_codec
+                self._repaired[(path, entry.version)] = new_codec
                 # Functional repair rewrote the failed fragment with
                 # *different* bytes: refresh its digest (and placement, when
                 # relocated).  The version must NOT change — every other

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from repro.cloud.latency import ClientLink
 from repro.cloud.provider import SimulatedProvider
+from repro.core.dispatcher import DispatchDecision
 from repro.erasure.codec import ErasureCodec
 from repro.erasure.raid5 import Raid5Code
-from repro.fs.namespace import FileEntry
 from repro.schemes.base import Scheme
 from repro.sim.clock import SimClock
 
@@ -44,55 +44,16 @@ class RacsScheme(Scheme):
         self.codec = Raid5Code(k=len(providers) - 1)
         self.stripe_providers = list(self.provider_names)
 
-    # ----------------------------------------------------------- placement
-    def _codec_for(self, entry: FileEntry) -> ErasureCodec | None:
-        return self.codec
-
-    def _put_file(self, path: str, data: bytes, prev: FileEntry | None) -> FileEntry:
-        version = prev.version + 1 if prev else 1
-        placements, digests = self._write_striped(
-            path, data, self.codec, self.stripe_providers, version
-        )
-        now = self.clock.now
-        return FileEntry(
-            path=path,
-            size=len(data),
-            version=version,
-            codec="raid5",
-            codec_params=(("k", self.codec.k),),
-            placements=tuple(placements),
-            klass="striped",
-            created=prev.created if prev else now,
-            modified=now,
-            digests=digests,
-        )
-
-    def _read_file(self, entry: FileEntry) -> tuple[bytes, bool]:
-        return self._read_striped(
-            entry.path,
-            entry.size,
+    def _layout(self, path: str, data: bytes) -> DispatchDecision:
+        # Same-size updates are read-modify-write (RAID5 is systematic);
+        # growth moves shard boundaries, so it restripes the whole object.
+        return DispatchDecision(
+            "striped",
             self.codec,
-            list(entry.placements),
-            entry.version,
-            digests=entry.digests or None,
+            tuple(self.stripe_providers),
+            codec_name="raid5",
+            codec_params=(("k", self.codec.k),),
         )
-
-    def _update_file(
-        self, entry: FileEntry, offset: int, patch: bytes, new_content: bytes
-    ) -> FileEntry:
-        if len(new_content) == entry.size:
-            return self._rmw_striped(entry, offset, patch, new_content, self.codec)
-        # Growth changes shard boundaries: restripe the whole object.
-        return self._put_file(entry.path, new_content, entry)
-
-    def _remove_file(self, entry: FileEntry) -> None:
-        self._remove_placements(
-            entry.path, list(entry.placements), entry.version, replicated=False
-        )
-
-    # ------------------------------------------------------------- metadata
-    def _meta_write_targets(self) -> list[str]:
-        return list(self.stripe_providers)
 
     def _meta_codec(self) -> ErasureCodec | None:
         # RACS treats metadata like any other object: striped.

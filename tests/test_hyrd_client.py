@@ -99,6 +99,22 @@ class TestUpdates:
         got, _ = hyrd.get("/d/l")
         assert got[100:200] == b"y" * 100
 
+    @pytest.mark.parametrize("codec", ["raid5", "rs", "fmsr"])
+    def test_same_size_patch_reads_back(self, providers, clock, payload, codec):
+        # A non-systematic code (FMSR) cannot patch only the touched
+        # fragments: every fragment mixes every data byte.
+        hyrd = HyRDClient(
+            list(providers.values()), clock, config=HyRDConfig(erasure_codec=codec)
+        )
+        data = payload(4 * MB)
+        hyrd.put("/big", data)
+        hyrd.update("/big", 3 << 20, b"xyz")
+        expected = data[: 3 << 20] + b"xyz" + data[(3 << 20) + 3 :]
+        got, report = hyrd.get("/big")
+        assert got == expected
+        assert not report.degraded
+        assert hyrd.verify_object("/big", deep=True).ok
+
 
 class TestOutageBehaviour:
     def test_small_read_unaffected_by_replica_outage(

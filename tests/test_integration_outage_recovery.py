@@ -73,13 +73,7 @@ class TestOutageRecoveryLifecycle:
             entry = scheme.namespace.get(path)
             if outage not in entry.providers:
                 continue
-            codec = scheme._codec_for(entry)
-            idx = entry.fragment_index(outage)
-            key = (
-                f"{path}#v{entry.version}"
-                if codec is None
-                else scheme._fragment_key(path, idx, entry.version)
-            )
+            key = entry.storage_key(entry.fragment_index(outage))
             assert store.has(scheme.container, key), (path, key)
 
 

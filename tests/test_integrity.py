@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.fs.namespace import storage_key
 from repro.schemes import (
     DepSkyCAScheme,
     DepSkyScheme,
@@ -82,7 +83,7 @@ class TestStripedCorruptionRecovery:
         racs.put("/d/f", data)
         entry = racs.namespace.get("/d/f")
         victim = [p for p, i in entry.placements if i == 0][0]
-        _corrupt(providers[victim], racs.container, racs._fragment_key("/d/f", 0, 1))
+        _corrupt(providers[victim], racs.container, storage_key("/d/f", 1, 0))
         got, report = racs.get("/d/f")
         assert got == data
         assert report.degraded
@@ -94,7 +95,7 @@ class TestStripedCorruptionRecovery:
         entry = hyrd.namespace.get("/d/big")
         victim = [p for p, i in entry.placements if i == 0][0]
         _corrupt(
-            providers[victim], hyrd.container, hyrd._fragment_key("/d/big", 0, 1)
+            providers[victim], hyrd.container, storage_key("/d/big", 1, 0)
         )
         got, report = hyrd.get("/d/big")
         assert got == data
@@ -119,7 +120,7 @@ class TestStripedCorruptionRecovery:
         for idx in (0, 1):  # two corrupt fragments > RAID5 tolerance
             victim = [p for p, i in entry.placements if i == idx][0]
             _corrupt(
-                providers[victim], racs.container, racs._fragment_key("/d/f", idx, 1)
+                providers[victim], racs.container, storage_key("/d/f", 1, idx)
             )
         with pytest.raises(DataUnavailable):
             racs.get("/d/f")
@@ -141,7 +142,7 @@ class TestQuorumAndConfidentialSchemes:
         ca.put("/d/f", data)
         entry = ca.namespace.get("/d/f")
         victim = [p for p, i in entry.placements if i == 0][0]
-        _corrupt(providers[victim], ca.container, ca._fragment_key("/d/f", 0, 1))
+        _corrupt(providers[victim], ca.container, storage_key("/d/f", 1, 0))
         got, _ = ca.get("/d/f")
         assert got == data
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.fs.journal import IntentJournal, WriteIntent
-from repro.schemes import RacsScheme
+from repro.schemes import DepSkyCAScheme, RacsScheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
@@ -147,3 +147,36 @@ class TestJournalZeroCost:
         # 7 puts + 1 remove journaled; gets journal nothing
         assert journal.begun_total == 8
         assert journal.commits_total == 8
+
+
+class TestIntentCodecName:
+    """Every intent names the codec the way the file entry does."""
+
+    @pytest.mark.parametrize(
+        "cls, codec", [(RacsScheme, "raid5"), (DepSkyCAScheme, "rs")]
+    )
+    def test_put_update_remove_intents_carry_entry_codec(self, monkeypatch, cls, codec):
+        clock = SimClock()
+        fleet = make_table2_cloud_of_clouds(clock)
+        scheme = cls([fleet[p] for p in _FLEET], clock)
+        journal = scheme.attach_journal()
+        begun = []
+        begin = journal.begin
+
+        def record(**kwargs):
+            intent = begin(**kwargs)
+            begun.append((intent.kind, intent.codec))
+            return intent
+
+        monkeypatch.setattr(journal, "begin", record)
+        scheme.put("/c/f", b"x" * 4096)
+        assert scheme.namespace.get("/c/f").codec == codec
+        scheme.update("/c/f", 10, b"yy")  # same size (RACS: in-place RMW)
+        scheme.update("/c/f", 4096, b"zz")  # growth: a full put
+        scheme.remove("/c/f")
+        assert begun == [
+            ("put", codec),
+            ("update", codec),
+            ("update", codec),
+            ("remove", codec),
+        ]

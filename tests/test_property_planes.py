@@ -24,6 +24,7 @@ from repro.schemes import (
     HyrdScheme,
     NCCloudScheme,
     RacsScheme,
+    SingleCloudScheme,
 )
 from repro.sim.clock import SimClock
 
@@ -33,9 +34,13 @@ PROVIDERS = ("amazon_s3", "azure", "aliyun", "rackspace")
 
 def _build(name, providers, clock, tracer, resilience):
     fleet = list(providers.values())
-    if name == "hyrd":
-        return HyrdScheme(
-            fleet, clock, config=HyRDConfig(resilience=resilience), tracer=tracer
+    if name in ("hyrd", "hyrd-rs"):
+        codec = "rs" if name == "hyrd-rs" else "raid5"
+        config = HyRDConfig(resilience=resilience, erasure_codec=codec)
+        return HyrdScheme(fleet, clock, config=config, tracer=tracer)
+    if name == "single":
+        return SingleCloudScheme(
+            providers["amazon_s3"], clock, resilience=resilience, tracer=tracer
         )
     if name == "duracloud":
         fleet = [providers["amazon_s3"], providers["azure"]]
@@ -64,7 +69,9 @@ op_steps = st.lists(
 
 
 def _run(name, steps, planes, hedge):
-    """One run; returns everything an observer-free run must reproduce."""
+    """One run; returns everything an observer-free run must reproduce:
+    the report trail, the failures, the final clock and every provider's
+    stored ``(key, size)`` pairs."""
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
     tracer = RecordingTracer(clock) if "tracer" in planes else None
@@ -99,7 +106,15 @@ def _run(name, steps, planes, hedge):
             raised.append((step, type(exc).__name__))
     clock.advance(3600.0)
     scheme.heal_returned()
-    return list(scheme.collector.reports), raised, clock.now
+    stores = {
+        prov: sorted(
+            (key, p.store.get(scheme.container, key).size)
+            for key in p.store.list(scheme.container)
+        )
+        for prov, p in providers.items()
+        if p.store.has_container(scheme.container)
+    }
+    return list(scheme.collector.reports), raised, clock.now, stores
 
 
 @pytest.mark.parametrize(

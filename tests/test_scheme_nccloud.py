@@ -4,6 +4,7 @@ import pytest
 
 from repro.cloud.errors import NoSuchObject
 from repro.cloud.outage import OutageWindow
+from repro.fs.namespace import storage_key
 from repro.schemes import NCCloudScheme
 
 
@@ -33,7 +34,8 @@ class TestPlacement:
 
         nc.put("/d/a", payload(100))
         nc.put("/d/b", payload(100))
-        assert not np.array_equal(nc._codecs["/d/a"].ecm, nc._codecs["/d/b"].ecm)
+        a, b = (nc._codec_for(nc.namespace.get(p)) for p in ("/d/a", "/d/b"))
+        assert not np.array_equal(a.ecm, b.ecm)
 
     def test_degraded_read(self, nc, providers, clock, payload):
         data = payload(4096)
@@ -53,9 +55,16 @@ class TestPlacement:
         assert got[10:12] == b"XY"
 
     def test_remove_drops_codec(self, nc, payload):
-        nc.put("/d/a", payload(100))
+        # Only a repaired (evolved) code is state; derived ones are rebuilt.
+        data = payload(100)
+        nc.put("/d/a", data)
+        nc.repair_provider("rackspace")
+        assert ("/d/a", 1) in nc._repaired
         nc.remove("/d/a")
-        assert "/d/a" not in nc._codecs
+        assert not nc._repaired
+        # A new object at the same (path, version) decodes with its own code.
+        nc.put("/d/a", data)
+        assert nc.get("/d/a")[0] == data
 
 
 class TestFunctionalRepair:
@@ -101,7 +110,7 @@ class TestFunctionalRepair:
         prov, idx = next((p, i) for p, i in entry.placements if p != "aliyun")
         # A surviving fragment is gone outright: the repair cannot read it.
         providers[prov].store.remove(
-            nc.container, nc._fragment_key("/d/a", idx, entry.version)
+            nc.container, storage_key("/d/a", entry.version, idx)
         )
         with pytest.raises(NoSuchObject):
             nc.repair_provider("aliyun")
