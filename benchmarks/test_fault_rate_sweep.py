@@ -16,7 +16,7 @@ from repro.analysis.tables import render_table
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.config import HyRDConfig
 from repro.core.resilience import ResilienceConfig
-from repro.schemes import DuraCloudScheme, HyrdScheme, RacsScheme
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 from repro.workloads.postmark import PostMarkConfig, generate_postmark
@@ -32,12 +32,15 @@ _NO_BACKOFF_CONFIG = HyRDConfig(
 )
 
 
-def _mean_latency(builder, rate, seed=0):
+def _mean_latency(name, rate, seed=0):
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
     for p in fleet.values():
         p.fault_rate = rate
-    scheme = builder(fleet, clock)
+    if name == "hyrd-nobackoff":
+        scheme = build_scheme("hyrd", fleet, clock, config=_NO_BACKOFF_CONFIG)
+    else:
+        scheme = build_scheme(name, fleet, clock)
     config = PostMarkConfig(file_pool=15, transactions=60, size_hi=8 * MB)
     ops = generate_postmark(config, make_rng(seed, "fault-sweep"))
     collector = TraceReplayer(seed=seed).run(scheme, ops, heal_between=True)
@@ -46,30 +49,20 @@ def _mean_latency(builder, rate, seed=0):
 
 
 def test_latency_vs_fault_rate(benchmark, emit):
-    builders = {
-        "duracloud": lambda p, c: DuraCloudScheme([p["amazon_s3"], p["azure"]], c),
-        "racs": lambda p, c: RacsScheme(list(p.values()), c),
-        "hyrd": lambda p, c: HyrdScheme(list(p.values()), c),
-        "hyrd-nobackoff": lambda p, c: HyrdScheme(
-            list(p.values()), c, config=_NO_BACKOFF_CONFIG
-        ),
-    }
+    names = ["duracloud", "racs", "hyrd", "hyrd-nobackoff"]
 
     def experiment():
-        return {
-            name: [_mean_latency(builder, rate) for rate in RATES]
-            for name, builder in builders.items()
-        }
+        return {name: [_mean_latency(name, rate) for rate in RATES] for name in names}
 
     series = benchmark.pedantic(experiment, rounds=1, iterations=1)
 
     rows = [
-        [f"{rate:.0%}"] + [series[name][i] for name in builders]
+        [f"{rate:.0%}"] + [series[name][i] for name in names]
         for i, rate in enumerate(RATES)
     ]
     emit(
         render_table(
-            ["Fault rate"] + list(builders),
+            ["Fault rate"] + names,
             rows,
             title="Mean op latency (s) vs per-request transient fault rate",
         )

@@ -13,51 +13,17 @@ import numpy as np
 
 from repro.analysis.tables import render_table
 from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.core.config import HyRDConfig
 from repro.core.resilience import ResilienceConfig
-from repro.faults import FaultProfile, LatencyBrownout, make_fault_storm
-from repro.schemes import HyrdScheme
+from repro.faults import FaultProfile, LatencyBrownout
+from repro.scenarios import fault_storm
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
-from repro.sim.rng import make_rng
-from repro.workloads.filesizes import LogUniformFileSizes
-from repro.workloads.postmark import PostMarkConfig, generate_postmark
-from repro.workloads.trace import TraceReplayer
 
 KB, MB = 1024, 1024 * 1024
 
 
 def _run(storm=False, hedge=False, seed=0):
-    clock = SimClock()
-    fleet = make_table2_cloud_of_clouds(clock)
-    # A low striping threshold keeps the cost-oriented providers (the
-    # flapping one among them) on the critical path of much of the workload.
-    config = HyRDConfig(
-        size_threshold=256 * KB, resilience=ResilienceConfig(hedge_reads=hedge)
-    )
-    # Build (and evaluate) against a healthy fleet, then let the storm land
-    # mid-deployment — otherwise the initial probes would classify the
-    # faulted providers straight out of the placement classes and the run
-    # would route around the storm instead of riding it out.
-    scheme = HyrdScheme(list(fleet.values()), clock, config=config)
-    if storm:
-        # t0 > 0 so the storm begins against *warm* health trackers: the
-        # first browned-out reads are slower than every expectation, which is
-        # the window hedged reads exist for (until the EWMA adapts and
-        # ranking routes around the slow replica).
-        make_fault_storm(t0=15.0, duration=36000.0, seed=seed).apply(fleet)
-    # Long enough that the run spans the flapping provider's first downtime
-    # *and* its return, so the benchmark sees trip, fast-fail and recovery.
-    # Log-uniform sizes put roughly half the files above the threshold,
-    # keeping the erasure path (and the flapper) busy.
-    ops = generate_postmark(
-        PostMarkConfig(
-            file_pool=15,
-            transactions=120,
-            sizes=LogUniformFileSizes(lo=64 * KB, hi=8 * MB),
-        ),
-        make_rng(seed, "fault-storm"),
-    )
-    collector = TraceReplayer(seed=seed).run(scheme, ops, heal_between=True)
+    scheme, collector = fault_storm(seed, hedge=hedge, storm=storm)
     user_ops = [r.elapsed for r in collector.reports if r.op != "heal"]
     counters = scheme.collector  # resilience counters live on the scheme side
     return {
@@ -144,8 +110,9 @@ def test_hedged_reads_cut_the_brownout_tail(benchmark, emit):
     def one(hedge):
         clock = SimClock()
         fleet = make_table2_cloud_of_clouds(clock)
-        cfg = HyRDConfig(resilience=ResilienceConfig(hedge_reads=hedge))
-        scheme = HyrdScheme(list(fleet.values()), clock, config=cfg)
+        scheme = build_scheme(
+            "hyrd", fleet, clock, resilience=ResilienceConfig(hedge_reads=hedge)
+        )
         for i in range(10):
             scheme.put(f"/d/f{i}", bytes(128 * KB))
         t0 = clock.now

@@ -13,7 +13,7 @@ import numpy as np
 from repro.analysis.tables import render_table
 from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.schemes import HyrdScheme, RacsScheme
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
@@ -22,10 +22,10 @@ FILES = 24
 DIRS = 6
 
 
-def _run_case(builder, outage_provider=None, seed=0):
+def _run_case(name, outage_provider=None, seed=0):
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
-    first = builder(providers, clock)
+    first = build_scheme(name, providers, clock)
     rng = make_rng(seed, "dr")
     contents = {}
     for i in range(FILES):
@@ -34,7 +34,7 @@ def _run_case(builder, outage_provider=None, seed=0):
         contents[path] = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
         first.put(path, contents[path])
 
-    second = builder(providers, clock)
+    second = build_scheme(name, providers, clock)
     if outage_provider:
         providers[outage_provider].outages.add(
             OutageWindow(clock.now, clock.now + 3600)
@@ -58,14 +58,10 @@ def _run_case(builder, outage_provider=None, seed=0):
 def test_client_disaster_recovery(benchmark, emit):
     def experiment():
         return {
-            "hyrd": _run_case(lambda p, c: HyrdScheme(list(p.values()), c)),
-            "hyrd (azure down)": _run_case(
-                lambda p, c: HyrdScheme(list(p.values()), c), "azure"
-            ),
-            "racs": _run_case(lambda p, c: RacsScheme(list(p.values()), c)),
-            "racs (azure down)": _run_case(
-                lambda p, c: RacsScheme(list(p.values()), c), "azure"
-            ),
+            "hyrd": _run_case("hyrd"),
+            "hyrd (azure down)": _run_case("hyrd", "azure"),
+            "racs": _run_case("racs"),
+            "racs (azure down)": _run_case("racs", "azure"),
         }
 
     results = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -1,32 +1,17 @@
-"""Read-scheduling acceptance gates, end to end.
+"""Read-scheduling acceptance gate, end to end.
 
-Two claims, each a hard gate (ROADMAP item 5, Aktaş-style load-aware
-coded-read scheduling):
+**Throughput under skew** (ROADMAP item 5, Aktaş-style load-aware coded-read
+scheduling): a Zipf-skewed read workload against a fleet with one saturated
+and one browned-out provider must sustain at least 1.3x the simulated ops/s
+of static fragment selection.  The static path fetches the systematic
+fragments every time, so the saturated provider gates every read; the
+scheduler prices it out and decodes through parity.
 
-1. **Throughput under skew.**  A Zipf-skewed read workload against a fleet
-   with one saturated and one browned-out provider must sustain at least
-   1.3x the simulated ops/s of static fragment selection.  The static
-   path fetches the systematic fragments every time, so the saturated
-   provider gates every read; the scheduler prices it out and decodes
-   through parity.
-2. **Zero cost when detached.**  A scheme that attached and then detached
-   the scheduler produces byte-identical op reports (and the same final
-   sim-clock reading) to one that never saw it — the same discipline the
-   observatory and maintenance planes are held to.
+That a detached scheduler leaves a run byte-identical is the ``scheduler``
+plane of ``tests/test_property_planes.py``.
 """
 
-import numpy as np
-
-from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.core.config import HyRDConfig
-from repro.core.resilience import ResilienceConfig
-from repro.core.scheduling import FragmentScheduler
-from repro.obs import ProviderLoadObservatory
-from repro.schemes import HyrdScheme
-from repro.sim.clock import SimClock
-from repro.sim.rng import make_rng
-
-MB = 1024 * 1024
+from repro.scenarios import skewed_reads
 
 #: the hard floor the scheduled run must clear over static selection
 SPEEDUP_FLOOR = 1.3
@@ -35,68 +20,14 @@ FILES = 8
 READS = 120
 
 
-def _skewed_read_run(schedule: bool, seed: int = 0):
-    """One sustained skewed-read run; returns (ops/s, scheme, histogram).
-
-    Hot-file promotion is disabled so both runs measure the striped read
-    path itself — a promoted full copy would route around the stripe for
-    scheduler and static alike.
-    """
-    clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    scheme = HyrdScheme(
-        list(providers.values()),
-        clock,
-        config=HyRDConfig(hot_file_threshold=0),
-    )
-    if schedule:
-        scheme.attach_observatory(ProviderLoadObservatory())
-        scheme.attach_scheduler(FragmentScheduler())
-    rng = make_rng(seed, "read-sched-bench")
-    payloads = {}
-    for i in range(FILES):
-        data = rng.integers(0, 256, 2 * MB, dtype=np.uint8).tobytes()
-        scheme.put(f"/s/f{i}", data)
-        payloads[i] = data
-
-    # Saturate the provider holding fragment 0 and brown out the holder of
-    # fragment 1: both are *systematic* placements, so static selection
-    # waits on them for every single read.  Deriving the victims from the
-    # actual placement keeps the scenario honest under any dispatcher
-    # policy.
-    from repro.faults.profile import FaultProfile, LatencyBrownout
-
-    placements = dict(
-        (idx, prov) for prov, idx in scheme.namespace.get("/s/f0").placements
-    )
-    horizon = clock.now + 1e9
-    providers[placements[0]].faults = FaultProfile(
-        [LatencyBrownout(clock.now, horizon, rtt_factor=10.0, bw_factor=0.05)]
-    ).bind(placements[0])
-    providers[placements[1]].faults = FaultProfile(
-        [LatencyBrownout(clock.now, horizon, rtt_factor=2.0, bw_factor=0.5)]
-    ).bind(placements[1])
-
-    # Zipf-skewed popularity (s = 1.2): the head files absorb most reads,
-    # exactly the hot-path regime the fractional split policy targets.
-    weights = np.array([1.0 / (i + 1) ** 1.2 for i in range(FILES)])
-    sequence = rng.choice(FILES, size=READS, p=weights / weights.sum())
-    t0 = clock.now
-    histogram: dict[tuple[str, ...], int] = {}
-    for j in sequence:
-        data, report = scheme.get(f"/s/f{j}")
-        assert data == payloads[j], "scheduled read returned wrong bytes"
-        key = tuple(sorted(report.providers))
-        histogram[key] = histogram.get(key, 0) + 1
-    return READS / (clock.now - t0), scheme, histogram
-
-
 def test_scheduled_beats_static_under_skewed_load(benchmark):
-    """Gate 1 — >= 1.3x sustained ops/s over static fragment selection."""
+    """>= 1.3x sustained ops/s over static fragment selection."""
 
     def experiment():
-        scheduled, scheme, histogram = _skewed_read_run(schedule=True)
-        static, _, _ = _skewed_read_run(schedule=False)
+        scheduled, scheme, histogram = skewed_reads(
+            True, seed=0, files=FILES, reads=READS
+        )
+        static, _, _ = skewed_reads(False, seed=0, files=FILES, reads=READS)
         return scheduled, static, scheme, histogram
 
     scheduled, static, scheme, histogram = benchmark.pedantic(
@@ -116,41 +47,3 @@ def test_scheduled_beats_static_under_skewed_load(benchmark):
     # one distinct provider subset served the workload.
     assert len(histogram) >= 2, f"degenerate routing: {histogram}"
 
-
-def _zero_cost_run(attach_and_detach: bool):
-    clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    cfg = HyRDConfig(resilience=ResilienceConfig(hedge_reads=True))
-    scheme = HyrdScheme(list(providers.values()), clock, config=cfg)
-    if attach_and_detach:
-        scheme.attach_observatory(ProviderLoadObservatory())
-        scheme.attach_scheduler(FragmentScheduler())
-        assert scheme.detach_scheduler() is not None
-    rng = make_rng(0, "sched-zero-cost")
-    for i in range(10):
-        size = int(rng.integers(4 * 1024, 3 * MB))
-        scheme.put(f"/z/f{i}", rng.integers(0, 256, size, dtype=np.uint8).tobytes())
-    for i in range(10):
-        scheme.get(f"/z/f{i}")
-    scheme.update("/z/f0", 0, b"patch")
-    scheme.remove("/z/f9")
-    reports = [
-        (r.op, r.path, r.elapsed, r.bytes_up, r.bytes_down, r.cloud_ops)
-        for r in scheme.collector.reports
-    ]
-    return reports, clock.now
-
-
-def test_detached_scheduler_is_byte_identical(benchmark):
-    """Gate 2 — detaching restores the static read path byte-for-byte."""
-
-    def experiment():
-        base, t_base = _zero_cost_run(attach_and_detach=False)
-        detached, t_detached = _zero_cost_run(attach_and_detach=True)
-        return (base, t_base), (detached, t_detached)
-
-    (base, t_base), (detached, t_detached) = benchmark.pedantic(
-        experiment, rounds=1, iterations=1
-    )
-    assert base == detached
-    assert t_base == t_detached

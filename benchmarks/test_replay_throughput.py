@@ -17,13 +17,9 @@ import time
 
 import numpy as np
 
-from repro.analysis.experiments import run_fig3
-from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.schemes import HyrdScheme
-from repro.sim.clock import SimClock
+from repro.scenarios import fig3_replay
 from repro.workloads.filesizes import MediaLibraryFileSizes
 from repro.workloads.ia_trace import IATraceConfig
-from repro.workloads.trace import TraceReplayer
 
 #: fig3-scale replay throughput (ops/sec) measured at the pre-overhaul
 #: commit with this same harness on the reference box — the 3x target is
@@ -33,42 +29,37 @@ TARGET_SPEEDUP = 3.0
 TRIALS = 4
 
 
-def _replay_once(ops, seed: int = 0) -> tuple[float, float, float]:
-    """One full replay in a fresh world; returns (wall, mean latency, sim time)."""
-    clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    scheme = HyrdScheme(list(providers.values()), clock)
-    replayer = TraceReplayer(seed=seed)
+def _replay_once(config=None) -> tuple[int, float, float, float]:
+    """One full replay in a fresh world; returns (ops, wall, mean latency, sim time)."""
+    scheme, ops, replayer = fig3_replay(0, config=config)
     t0 = time.perf_counter()
     collector = replayer.run(scheme, ops)
     wall = time.perf_counter() - t0
     samples = [r.elapsed for r in collector.reports if r.op not in ("heal", "promote")]
-    return wall, float(np.mean(samples)), clock.now
+    return len(ops), wall, float(np.mean(samples)), scheme.clock.now
 
 
 def test_replay_throughput_fig3_scale(benchmark, emit):
-    ops = run_fig3(seed=0).ops
-
     walls: list[float] = []
-    simulated: set[tuple[str, str]] = set()
+    simulated: set[tuple[int, str, str]] = set()
 
     def once() -> None:
-        wall, mean_lat, sim_elapsed = _replay_once(ops)
+        n_ops, wall, mean_lat, sim_elapsed = _replay_once()
         walls.append(wall)
-        simulated.add((repr(mean_lat), repr(sim_elapsed)))
+        simulated.add((n_ops, repr(mean_lat), repr(sim_elapsed)))
         gc.collect()
 
     benchmark.pedantic(once, rounds=TRIALS, warmup_rounds=1, iterations=1)
 
     measured = walls[1:]  # drop the warmup round
     best = min(measured)
-    ops_per_sec = len(ops) / best
+    n_ops, mean_lat, sim_elapsed = next(iter(simulated))
+    ops_per_sec = n_ops / best
     speedup = ops_per_sec / PRE_PR_OPS_PER_SEC
-    mean_lat, sim_elapsed = next(iter(simulated))
 
     lines = [
         "Replay throughput — fig3-scale IA trace through HyRD (verified reads)",
-        f"  trace ops:            {len(ops)}",
+        f"  trace ops:            {n_ops}",
         f"  trial walls (s):      {', '.join(f'{w:.3f}' for w in measured)}",
         f"  best throughput:      {ops_per_sec:.1f} ops/s",
         f"  pre-overhaul:         {PRE_PR_OPS_PER_SEC:.1f} ops/s",
@@ -95,15 +86,13 @@ def test_replay_throughput_smoke(benchmark, emit):
     config = IATraceConfig(
         months=3, writes_per_month=4, sizes=MediaLibraryFileSizes(scale=0.0625)
     )
-    ops = run_fig3(seed=0, config=config).ops
-
-    wall, mean_lat, sim_elapsed = benchmark.pedantic(
-        lambda: _replay_once(ops), rounds=1, iterations=1
+    n_ops, wall, mean_lat, sim_elapsed = benchmark.pedantic(
+        lambda: _replay_once(config), rounds=1, iterations=1
     )
-    ops_per_sec = len(ops) / wall
+    ops_per_sec = n_ops / wall
     emit(
         "Replay throughput smoke — reduced IA trace\n"
-        f"  trace ops:   {len(ops)}\n"
+        f"  trace ops:   {n_ops}\n"
         f"  wall:        {wall:.3f} s ({ops_per_sec:.1f} ops/s)\n"
         f"  mean access latency: {mean_lat:.5f} s (simulated)\n"
         f"  simulated elapsed:   {sim_elapsed:.3f} s"

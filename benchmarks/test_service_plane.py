@@ -23,23 +23,20 @@ slow CI runner.
 
 import json
 
-from repro.analysis.experiments import run_fig3
-from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.scenarios import fig3_replay
 from repro.schemes import HyrdScheme
 from repro.service import run_service_drill
 from repro.service.admission import AdmissionController
 from repro.service.frontend import ServicePlane
 from repro.service.tenant import TenantRegistry
-from repro.sim.clock import SimClock
 from repro.sim.events import EventLoop
-from repro.workloads.trace import TraceReplayer
 
 SCALE_FLOOR = 0.8
 FAIRNESS_FLOOR = 0.9
 
 
-def _replay(ops, seed: int, with_idle_plane: bool):
-    """One fig3 replay; returns (report tuples, final sim time).
+def _replay(seed: int, with_idle_plane: bool):
+    """One fig3 replay; returns (trace ops, report tuples, final sim time).
 
     ``with_idle_plane=True`` builds the full service bundle over the
     scheme — registry, admission controller, two frontends on an event
@@ -47,9 +44,8 @@ def _replay(ops, seed: int, with_idle_plane: bool):
     it.  The replay itself drives the scheme directly, exactly as the
     pre-service-plane code did.
     """
-    clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    scheme = HyrdScheme(list(providers.values()), clock)
+    scheme, ops, replayer = fig3_replay(seed)
+    clock = scheme.clock
     if with_idle_plane:
         loop = EventLoop(clock)
         registry = TenantRegistry(seed)
@@ -62,30 +58,29 @@ def _replay(ops, seed: int, with_idle_plane: bool):
             n_frontends=2,
         )
         loop.run()  # nothing scheduled: must be a no-op on the clock
-    collector = TraceReplayer(seed=seed).run(scheme, ops)
+    collector = replayer.run(scheme, ops)
     reports = [
         (r.op, r.path, r.elapsed, r.bytes_up, r.bytes_down, r.cloud_ops)
         for r in collector.reports
     ]
-    return reports, clock.now
+    return len(ops), reports, clock.now
 
 
 def test_service_plane_detached_is_zero_cost(benchmark, emit):
     """Gate 1: an idle service plane changes nothing about the data plane."""
-    ops = run_fig3(seed=0).ops
 
     def experiment():
-        plain = _replay(ops, seed=0, with_idle_plane=False)
-        idle = _replay(ops, seed=0, with_idle_plane=True)
+        plain = _replay(seed=0, with_idle_plane=False)
+        idle = _replay(seed=0, with_idle_plane=True)
         return plain, idle
 
-    (plain_reports, plain_now), (idle_reports, idle_now) = benchmark.pedantic(
+    (n_ops, plain_reports, plain_now), (_, idle_reports, idle_now) = benchmark.pedantic(
         experiment, rounds=1, iterations=1
     )
 
     emit(
         "Service plane zero-cost gate — fig3-scale replay\n"
-        f"  trace ops:        {len(ops)}\n"
+        f"  trace ops:        {n_ops}\n"
         f"  reports compared: {len(plain_reports)}\n"
         f"  sim elapsed:      {plain_now:.3f} s (both runs)\n"
         f"  byte-identical:   {plain_reports == idle_reports and plain_now == idle_now}"

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.config import HyRDConfig
-from repro.schemes import HyrdScheme, NCCloudScheme, RacsScheme
+from repro.schemes import HyrdScheme, NCCloudScheme, RacsScheme, build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 from repro.workloads.postmark import PostMarkConfig, generate_postmark
@@ -219,19 +219,13 @@ def run_degraded_read_comparison(seed: int = 0) -> dict[str, dict[str, float]]:
     setup, reads = ops[: pm.file_pool], ops[pm.file_pool :]
 
     from repro.cloud.outage import OutageWindow
-    from repro.schemes import DuraCloudScheme
 
-    builders = {
-        "duracloud": lambda p, c: DuraCloudScheme([p["amazon_s3"], p["azure"]], c),
-        "racs": lambda p, c: RacsScheme(list(p.values()), c),
-        "hyrd": lambda p, c: HyrdScheme(list(p.values()), c),
-    }
     out: dict[str, dict[str, float]] = {}
-    for name, builder in builders.items():
+    for name in ("duracloud", "racs", "hyrd"):
         def measure(outage: bool) -> tuple[float, float, float]:
             clock = SimClock()
             providers = make_table2_cloud_of_clouds(clock)
-            scheme = builder(providers, clock)
+            scheme = build_scheme(name, providers, clock)
             replayer = TraceReplayer(seed=seed)
             replayer.run(scheme, setup)
             if outage:

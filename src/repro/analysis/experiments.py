@@ -18,23 +18,15 @@ from repro.cloud.latency import ClientLink
 from repro.cloud.outage import OutageWindow
 from repro.cloud.pricing import CATEGORIES, PRICE_PLANS, ProviderCategory
 from repro.cloud.provider import (
+    DURACLOUD_PAIR,
+    SINGLE_PROVIDERS,
     TABLE2_LATENCY,
     SimulatedProvider,
     make_table2_cloud_of_clouds,
 )
-from repro.core.config import HyRDConfig
 from repro.cost.simulator import CostRunResult, CostSimulator
 from repro.metrics.collector import LatencyCollector
-from repro.schemes import (
-    DepSkyCAScheme,
-    DepSkyScheme,
-    DuraCloudScheme,
-    HyrdScheme,
-    NCCloudScheme,
-    RacsScheme,
-    SingleCloudScheme,
-    Scheme,
-)
+from repro.schemes import COC_SCHEMES, Scheme, build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 from repro.workloads.filesizes import MediaLibraryFileSizes
@@ -64,14 +56,6 @@ __all__ = [
 KB = 1024
 MB = 1024 * 1024
 
-SINGLE_PROVIDERS = ("amazon_s3", "azure", "aliyun", "rackspace")
-
-#: DuraCloud's replica pair: Amazon S3 + Windows Azure, the two US majors
-#: (the paper takes Azure offline to trigger DuraCloud's degraded state, so
-#: Azure must be in the pair).  The pair also tops the Figure 4 cost chart:
-#: $0.033 + $0.157 = $0.19 per logical GB-month of storage.
-DURACLOUD_PAIR = ("amazon_s3", "azure")
-
 SchemeFactory = Callable[[dict[str, SimulatedProvider], SimClock], Scheme]
 
 
@@ -95,43 +79,17 @@ def default_ia_config() -> IATraceConfig:
     )
 
 
-def coc_factories(extended: bool = False, hyrd_config: HyRDConfig | None = None) -> dict[str, SchemeFactory]:
+def coc_factories(extended: bool = False) -> dict[str, SchemeFactory]:
     """Factories for the Cloud-of-Clouds schemes of Figures 4 and 6."""
-
-    def duracloud(providers: dict[str, SimulatedProvider], clock: SimClock) -> Scheme:
-        return DuraCloudScheme([providers[n] for n in DURACLOUD_PAIR], clock)
-
-    def racs(providers: dict[str, SimulatedProvider], clock: SimClock) -> Scheme:
-        return RacsScheme(list(providers.values()), clock)
-
-    def hyrd(providers: dict[str, SimulatedProvider], clock: SimClock) -> Scheme:
-        return HyrdScheme(list(providers.values()), clock, config=hyrd_config)
-
-    factories: dict[str, SchemeFactory] = {
-        "duracloud": duracloud,
-        "racs": racs,
-        "hyrd": hyrd,
-    }
-    if extended:
-        factories["depsky"] = lambda p, c: DepSkyScheme(list(p.values()), c)
-        factories["depsky-ca"] = lambda p, c: DepSkyCAScheme(list(p.values()), c)
-        factories["nccloud"] = lambda p, c: NCCloudScheme(list(p.values()), c)
-    return factories
+    names = COC_SCHEMES if extended else COC_SCHEMES[:3]
+    return {name: single_factory(name) for name in names}
 
 
 def single_factory(name: str) -> SchemeFactory:
-    return lambda providers, clock: SingleCloudScheme(providers[name], clock)
-
-
-def _factory_by_name(name: str, extended: bool = False) -> SchemeFactory:
-    """Rebuild a scheme factory from its sweep name.
-
-    Factories are closures and do not pickle, so parallel workers receive
-    the *name* of the cell's scheme and resolve it locally.
-    """
-    if name in SINGLE_PROVIDERS:
-        return single_factory(name)
-    return coc_factories(extended=extended)[name]
+    """A ``(providers, clock) -> Scheme`` factory for any
+    :func:`~repro.schemes.build_scheme` name (a provider name for the
+    single-cloud baselines)."""
+    return lambda providers, clock: build_scheme(name, providers, clock)
 
 
 # ------------------------------------------------------- parallel sweep cells
@@ -287,7 +245,7 @@ class Fig6Results:
 
 
 def _run_postmark_once(
-    factory: SchemeFactory,
+    name: str,
     setup_ops: list[TraceOp],
     txn_ops: list[TraceOp],
     seed: int,
@@ -298,7 +256,7 @@ def _run_postmark_once(
     benchmark rather than before the data exists."""
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
-    scheme = factory(providers, clock)
+    scheme = build_scheme(name, providers, clock)
     replayer = TraceReplayer(seed=seed)
     replayer.run(scheme, setup_ops)
     if outage_provider is not None:
@@ -312,10 +270,9 @@ def _fig6_cell(task: tuple) -> tuple[float, float]:
 
     Returns ``(mean access latency, degraded fraction)``.
     """
-    name, extended, cell_seed, setup_ops, txn_ops, outage_provider = task
-    factory = _factory_by_name(name, extended=extended)
+    name, cell_seed, setup_ops, txn_ops, outage_provider = task
     collector, _ = _run_postmark_once(
-        factory, setup_ops, txn_ops, cell_seed, outage_provider
+        name, setup_ops, txn_ops, cell_seed, outage_provider
     )
     return _mean_access_latency(collector), collector.degraded_fraction()
 
@@ -345,14 +302,14 @@ def run_fig6(
     all_names = list(SINGLE_PROVIDERS) + coc_names
 
     tasks = [
-        (name, extended, seed + rep, setup_ops, txn_ops, None)
+        (name, seed + rep, setup_ops, txn_ops, None)
         for name in all_names
         for rep in range(repeats)
     ]
     # Outage state: only the Cloud-of-Clouds schemes survive a provider loss
     # (that is the point of the paper); singles are omitted like in Fig. 6.
     tasks += [
-        (name, extended, seed + rep, setup_ops, txn_ops, outage_provider)
+        (name, seed + rep, setup_ops, txn_ops, outage_provider)
         for name in coc_names
         for rep in range(repeats)
     ]
@@ -396,7 +353,7 @@ def run_recovery_drill(
 
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
-    scheme = HyrdScheme(list(providers.values()), clock)
+    scheme = build_scheme("hyrd", providers, clock)
     replayer = TraceReplayer(seed=seed)
     replayer.run(scheme, setup_ops)
 
@@ -453,7 +410,7 @@ def run_table2() -> list[list[object]]:
     return rows
 
 
-def _degraded_read_fanout(name: str, factory: SchemeFactory, seed: int) -> int:
+def _degraded_read_fanout(name: str, seed: int) -> int:
     """How many providers one degraded read touches (recovery difficulty).
 
     Replication fetches the surviving copy from a single provider;
@@ -462,7 +419,7 @@ def _degraded_read_fanout(name: str, factory: SchemeFactory, seed: int) -> int:
     """
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
-    scheme = factory(providers, clock)
+    scheme = build_scheme(name, providers, clock)
     replayer = TraceReplayer(seed=seed)
     replayer.run(scheme, [TraceOp("put", "/t/large.bin", size=4 * MB)])
     entry = scheme.namespace.get("/t/large.bin")
@@ -492,10 +449,9 @@ def run_table1(
         "duracloud": "Replication",
         "hyrd": "Replication + erasure code",
     }
-    factories = coc_factories()
     rows: list[list[object]] = []
     for scheme in ("racs", "duracloud", "hyrd"):
-        fanout = _degraded_read_fanout(scheme, factories[scheme], seed)
+        fanout = _degraded_read_fanout(scheme, seed)
         recovery = "Hard" if fanout >= 3 else "Easy"
         rows.append(
             [

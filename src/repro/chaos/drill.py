@@ -28,13 +28,11 @@ from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.core.resilience import ResilienceConfig
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.faults.profile import FaultProfile, NetworkPartition
-from repro.schemes import RacsScheme
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
 __all__ = ["run_crash_drill"]
-
-_FLEET = ("amazon_s3", "azure", "aliyun", "rackspace")
 
 
 def _drill_resilience() -> ResilienceConfig:
@@ -53,7 +51,7 @@ def _crash_trial(seed: int, ordinal: int) -> tuple[str, dict, object]:
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
     resilience = _drill_resilience()
-    scheme = RacsScheme([fleet[p] for p in _FLEET], clock, resilience=resilience)
+    scheme = build_scheme("racs", fleet, clock, resilience=resilience)
     journal = scheme.attach_journal()
     path = "/drill/crash"
     old = rng.bytes(64 * 1024)
@@ -68,7 +66,7 @@ def _crash_trial(seed: int, ordinal: int) -> tuple[str, dict, object]:
         return "committed", {}, scheme.registry
     # The replacement client inherits the durable journal + write logs.
     dead = scheme
-    scheme = RacsScheme([fleet[p] for p in _FLEET], clock, resilience=resilience)
+    scheme = build_scheme("racs", fleet, clock, resilience=resilience)
     scheme.adopt_write_logs(dead._write_logs)
     scheme.attach_journal(journal)
     scheme.recover_namespace()
@@ -95,9 +93,7 @@ def _spill_trial(seed: int) -> tuple[dict, object]:
     fleet = make_table2_cloud_of_clouds(
         clock, faults={"rackspace": FaultProfile([cut], seed=seed).bind("rackspace")}
     )
-    scheme = RacsScheme(
-        [fleet[p] for p in _FLEET], clock, resilience=_drill_resilience()
-    )
+    scheme = build_scheme("racs", fleet, clock, resilience=_drill_resilience())
     scheme.attach_journal()
     clock.advance(5.0)  # inside the partition window
     payload = rng.bytes(256 * 1024)

@@ -47,8 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.cloud.errors import CloudError
-from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.core.config import HyRDConfig
+from repro.cloud.provider import SINGLE_PROVIDERS, make_table2_cloud_of_clouds
 from repro.core.resilience import ResilienceConfig
 from repro.faults.crash import ClientCrash, CrashSchedule
 from repro.faults.profile import (
@@ -60,16 +59,7 @@ from repro.faults.profile import (
     TransientErrorBurst,
 )
 from repro.fs.journal import IntentJournal
-from repro.schemes import (
-    DataUnavailable,
-    DepSkyCAScheme,
-    DepSkyScheme,
-    DuraCloudScheme,
-    HyrdScheme,
-    NCCloudScheme,
-    RacsScheme,
-    SingleCloudScheme,
-)
+from repro.schemes import DataUnavailable, build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
@@ -85,12 +75,6 @@ __all__ = [
     "run_campaign",
     "run_episode",
 ]
-
-#: the Table II fleet, in construction order
-_FLEET = ("amazon_s3", "azure", "aliyun", "rackspace")
-
-#: DuraCloud's two-provider pair (mirrors repro.analysis.experiments)
-_DURACLOUD_PAIR = ("amazon_s3", "azure")
 
 #: every scheme the campaign exercises by default
 CHAOS_SCHEMES = (
@@ -133,27 +117,11 @@ def chaos_resilience() -> ResilienceConfig:
     )
 
 
-def _build_scheme(
-    name: str, fleet: dict, clock: SimClock, resilience: ResilienceConfig
-) -> "Scheme":
-    providers = [fleet[p] for p in _FLEET]
-    if name == "duracloud":
-        return DuraCloudScheme(
-            [fleet[p] for p in _DURACLOUD_PAIR], clock, resilience=resilience
-        )
-    if name == "racs":
-        return RacsScheme(providers, clock, resilience=resilience)
-    if name == "hyrd":
-        return HyrdScheme(providers, clock, config=HyRDConfig(resilience=resilience))
-    if name == "depsky":
-        return DepSkyScheme(providers, clock, resilience=resilience)
-    if name == "depsky-ca":
-        return DepSkyCAScheme(providers, clock, resilience=resilience)
-    if name == "nccloud":
-        return NCCloudScheme(providers, clock, resilience=resilience)
-    if name == "single":
-        return SingleCloudScheme(fleet["amazon_s3"], clock, resilience=resilience)
-    raise ValueError(f"unknown chaos scheme {name!r}; choose from {CHAOS_SCHEMES}")
+def _build_scheme(name: str, fleet: dict, clock: SimClock, resilience) -> "Scheme":
+    # "single" is the campaign's single-cloud baseline on Amazon S3.
+    return build_scheme(
+        "amazon_s3" if name == "single" else name, fleet, clock, resilience=resilience
+    )
 
 
 # --------------------------------------------------------------------- plans
@@ -163,7 +131,7 @@ def _draw_storm(
     """Per-provider degradation effects (never a full scripted partition)."""
     effects: dict[str, list[FaultEffect]] = {}
     described: dict[str, list[str]] = {}
-    for name in _FLEET:
+    for name in SINGLE_PROVIDERS:
         kind = str(rng.choice(["brownout", "burst", "flap", "none"], p=[0.25, 0.25, 0.3, 0.2]))
         if kind == "none":
             continue
@@ -201,7 +169,7 @@ def _draw_partitions(
     """0–2 network partition windows, each cutting off one provider."""
     windows: dict[str, list[tuple[float, float]]] = {}
     for _ in range(int(rng.integers(0, 3))):
-        name = str(rng.choice(list(_FLEET)))
+        name = str(rng.choice(list(SINGLE_PROVIDERS)))
         start = float(rng.uniform(0.0, 0.7)) * horizon
         end = min(start + float(rng.uniform(90.0, 600.0)), horizon * 0.95)
         if end > start:
@@ -256,7 +224,7 @@ class _EpisodeDriver:
         self.clock = SimClock()
         profiles: dict[str, FaultProfile] = {}
         self._max_effect_end = 0.0
-        for name in _FLEET:
+        for name in SINGLE_PROVIDERS:
             effects = list(storm_effects.get(name, ()))
             effects += [NetworkPartition(s, e) for s, e in self.partitions.get(name, ())]
             if effects:
@@ -570,7 +538,7 @@ class _EpisodeDriver:
     def _publish_metrics(self, results: dict[str, list[dict]]) -> None:
         registry = self.scheme.registry
         registry.counter("chaos_crashes_total").inc(len(self.crashes))
-        for name in _FLEET:
+        for name in SINGLE_PROVIDERS:
             registry.counter("partition_windows_total", provider=name).inc(
                 len(self.partitions.get(name, ()))
             )

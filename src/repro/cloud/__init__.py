@@ -11,7 +11,6 @@ reproduces that model:
 - :mod:`repro.cloud.metering`    -- raw usage meters (bytes, ops, byte-time)
 - :mod:`repro.cloud.outage`      -- outage windows / schedules / injection
 - :mod:`repro.cloud.provider`    -- the metered, outage-aware provider
-- :mod:`repro.cloud.rest`        -- RESTful request/response encoding layer
 """
 
 from repro.cloud.errors import (

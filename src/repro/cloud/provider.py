@@ -28,7 +28,13 @@ from repro.cloud.outage import OutageSchedule
 from repro.cloud.pricing import CATEGORIES, PRICE_PLANS, PricingPlan, ProviderCategory
 from repro.sim.clock import SimClock
 
-__all__ = ["SimulatedProvider", "TABLE2_LATENCY", "make_table2_cloud_of_clouds"]
+__all__ = [
+    "DURACLOUD_PAIR",
+    "SINGLE_PROVIDERS",
+    "SimulatedProvider",
+    "TABLE2_LATENCY",
+    "make_table2_cloud_of_clouds",
+]
 
 
 #: Latency calibration for the four Table II providers, chosen to reproduce
@@ -257,6 +263,16 @@ class SimulatedProvider:
         return f"SimulatedProvider({self.name!r})"
 
 
+#: the four Table II providers, in fleet construction order
+SINGLE_PROVIDERS = ("amazon_s3", "azure", "aliyun", "rackspace")
+
+#: DuraCloud's replica pair: Amazon S3 + Windows Azure, the two US majors
+#: (the paper takes Azure offline to trigger DuraCloud's degraded state, so
+#: Azure must be in the pair).  The pair also tops the Figure 4 cost chart:
+#: $0.033 + $0.157 = $0.19 per logical GB-month of storage.
+DURACLOUD_PAIR = ("amazon_s3", "azure")
+
+
 def make_table2_cloud_of_clouds(
     clock: SimClock,
     outages: dict[str, OutageSchedule] | None = None,
@@ -271,7 +287,7 @@ def make_table2_cloud_of_clouds(
     outages = outages or {}
     faults = faults or {}
     providers: dict[str, SimulatedProvider] = {}
-    for name in ("amazon_s3", "azure", "aliyun", "rackspace"):
+    for name in SINGLE_PROVIDERS:
         providers[name] = SimulatedProvider(
             name=name,
             clock=clock,

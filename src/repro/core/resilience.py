@@ -161,10 +161,11 @@ class CircuitBreaker:
         #: optional MetricsRegistry; transitions feed
         #: ``breaker_transitions_total{provider,state}`` when attached
         self.metrics = metrics
-        #: optional callable ``(provider, state, now)`` invoked on every state
-        #: change — the SLO tracker hangs here to turn open/closed edges into
-        #: observed downtime intervals.  Attached post-construction.
-        self.listener = None
+        #: callables ``(provider, state, now)`` invoked on every state change,
+        #: in attach order — the SLO tracker turns open/closed edges into
+        #: observed downtime intervals, the maintenance plane into targeted
+        #: audits.  Each adds and removes its own entry.
+        self.listeners: list = []
         self.state = BreakerState.CLOSED
         self._consecutive_failures = 0
         self._half_open_ok = 0
@@ -181,8 +182,8 @@ class CircuitBreaker:
             self.metrics.counter(
                 "breaker_transitions_total", provider=self.name, state=state
             ).inc()
-        if self.listener is not None:
-            self.listener(self.name, state, now)
+        for listener in self.listeners:
+            listener(self.name, state, now)
         if state == BreakerState.OPEN:
             self._opened_at = now
             self._half_open_ok = 0

@@ -19,13 +19,7 @@ Attachment is strictly opt-in (``scheme.attach_maintenance()``) and the
 detached default is zero-cost: no foreground code path consults the plane,
 draws RNG for it, or moves the clock on its behalf.  ``pause()`` keeps the
 schedule but makes ticks no-ops — handy for change freezes; ``stop()``
-unhooks everything, including the chained breaker listeners.
-
-Ordering caveat: the plane *chains* each breaker's single ``listener`` slot
-(preserving whatever was installed, e.g. the SLO tracker's transition hook).
-Attach the SLO tracker **before** the maintenance plane — ``attach_slo``
-overwrites the slot and would silently disconnect the plane's outage-edge
-feed if called afterwards.
+unhooks everything, including the plane's breaker listeners.
 """
 
 from __future__ import annotations
@@ -123,7 +117,6 @@ class MaintenancePlane:
         self._suspects: set[str] = set()
         #: path -> sim time it was first seen below full redundancy
         self._risk_since: dict[str, float] = {}
-        self._saved_listeners: dict[str, object] = {}
 
     # ------------------------------------------------------------- lifecycle
     @property
@@ -134,17 +127,20 @@ class MaintenancePlane:
         """Hook breaker edges and begin the recurring tick schedule."""
         if self.running:
             return
-        self._chain_breaker_listeners()
+        for breaker in self.scheme._breakers.values():
+            breaker.listeners.append(self._on_breaker_transition)
         self._timer = self.loop.schedule_every(
             self.config.scrub_interval, self._on_tick
         )
 
     def stop(self) -> None:
-        """Cancel the schedule and restore the original breaker listeners."""
+        """Cancel the schedule and unhook the plane's breaker listeners."""
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        self._restore_breaker_listeners()
+        for breaker in self.scheme._breakers.values():
+            if self._on_breaker_transition in breaker.listeners:
+                breaker.listeners.remove(self._on_breaker_transition)
 
     def pause(self) -> None:
         """Keep the schedule but make ticks no-ops (change freeze)."""
@@ -152,25 +148,6 @@ class MaintenancePlane:
 
     def resume(self) -> None:
         self.paused = False
-
-    def _chain_breaker_listeners(self) -> None:
-        for name, breaker in self.scheme._breakers.items():
-            previous = breaker.listener
-            self._saved_listeners[name] = previous
-
-            def chained(provider, state, now, _prev=previous):
-                if _prev is not None:
-                    _prev(provider, state, now)
-                self._on_breaker_transition(provider, state, now)
-
-            breaker.listener = chained
-
-    def _restore_breaker_listeners(self) -> None:
-        for name, previous in self._saved_listeners.items():
-            breaker = self.scheme._breakers.get(name)
-            if breaker is not None:
-                breaker.listener = previous
-        self._saved_listeners.clear()
 
     def _on_breaker_transition(self, provider: str, state: str, now: float) -> None:
         if state == "open":

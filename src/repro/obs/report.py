@@ -327,73 +327,21 @@ class RunReport:
 def run_fault_storm_report(
     seed: int = 0, trace: bool = True, slo=None, sampler=None, observatory=None
 ) -> tuple[RunReport, "RecordingTracer | None"]:
-    """Run HyRD through the canonical fault storm with tracing on.
+    """Run :func:`repro.scenarios.fault_storm` and report on it.
 
-    The same run as ``benchmarks/test_fault_storm.py``: a PostMark
-    workload rides out a brownout, a transient-error burst, and a flapping
-    provider, healing between operations.  Returns ``(report, tracer)`` —
-    the tracer (or ``None`` when ``trace=False``) holds the JSON-lines
-    exportable trace for ``repro report --trace-out``.
-
-    ``slo`` optionally attaches an :class:`~repro.obs.slo.SloTracker` (it is
-    fed the fleet's ground-truth fault schedule and published at end of run);
-    ``sampler`` optionally attaches a
-    :class:`~repro.obs.timeseries.TimeSeriesSampler` polled between ops —
-    the live feed behind ``repro watch``; ``observatory`` optionally attaches
-    a :class:`~repro.obs.attribution.ProviderLoadObservatory` (per-provider
-    load gauges + exemplar linking, the live feed behind ``repro explain``).
-    All default to None and, like the tracer, never perturb the simulated
-    timings.
+    Returns ``(report, tracer)`` — the tracer (or ``None`` when
+    ``trace=False``) holds the JSON-lines exportable trace for ``repro report
+    --trace-out``.  ``slo``, ``sampler`` and ``observatory`` attach as in
+    :func:`~repro.scenarios.fault_storm` (the live feeds behind ``repro
+    watch`` and ``repro explain``); none of them perturbs simulated timings.
 
     Deterministic: the same seed reproduces the identical report and trace.
     """
-    # Imports are local so repro.obs stays importable from the scheme layer
-    # (schemes.base -> obs.trace) without a circular module chain.
-    from repro.cloud.provider import make_table2_cloud_of_clouds
-    from repro.core.config import HyRDConfig
-    from repro.core.resilience import ResilienceConfig
-    from repro.faults import make_fault_storm
-    from repro.schemes import HyrdScheme
-    from repro.sim.clock import SimClock
-    from repro.sim.rng import make_rng
-    from repro.workloads.filesizes import LogUniformFileSizes
-    from repro.workloads.postmark import PostMarkConfig, generate_postmark
-    from repro.workloads.trace import TraceReplayer
+    # Local import: repro.scenarios builds on the scheme layer, which itself
+    # imports repro.obs.
+    from repro.scenarios import fault_storm
 
-    kb, mb = 1024, 1024 * 1024
-    clock = SimClock()
-    fleet = make_table2_cloud_of_clouds(clock)
-    config = HyRDConfig(
-        size_threshold=256 * kb, resilience=ResilienceConfig(hedge_reads=True)
+    scheme, _ = fault_storm(
+        seed, trace=trace, slo=slo, sampler=sampler, observatory=observatory
     )
-    tracer = RecordingTracer(clock) if trace else None
-    # Build against a healthy fleet, then land the storm mid-deployment —
-    # otherwise the construction-time probes would classify the faulted
-    # providers straight out of placement (see benchmarks/test_fault_storm.py).
-    scheme = HyrdScheme(list(fleet.values()), clock, config=config, tracer=tracer)
-    make_fault_storm(t0=15.0, duration=36000.0, seed=seed).apply(fleet)
-    if slo is not None:
-        scheme.attach_slo(slo)
-    if observatory is not None:
-        scheme.attach_observatory(observatory)
-    if sampler is not None:
-        sampler.slo = slo if sampler.slo is None else sampler.slo
-        sampler.bind(scheme.registry, clock, meta={"scheme": scheme.name, "seed": seed})
-    # Same workload as the benchmark: long enough to span the flapping
-    # provider's downtime *and* its return, so the trace shows the breaker
-    # trip, fast-fail and recover.
-    ops = generate_postmark(
-        PostMarkConfig(
-            file_pool=15,
-            transactions=120,
-            sizes=LogUniformFileSizes(lo=64 * kb, hi=8 * mb),
-        ),
-        make_rng(seed, "fault-storm"),
-    )
-    TraceReplayer(seed=seed).run(scheme, ops, heal_between=True, sampler=sampler)
-    if slo is not None:
-        slo.ingest_ground_truth(fleet.values(), 0.0, clock.now)
-        slo.publish(clock.now)
-    if sampler is not None:
-        sampler.finish()
-    return RunReport.from_scheme(scheme), tracer
+    return RunReport.from_scheme(scheme), scheme.tracer if trace else None

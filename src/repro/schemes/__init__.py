@@ -11,11 +11,14 @@ so that Figure 4 (cost) and Figure 6 (latency) compare like with like:
 - :class:`DepSkyScheme`      -- quorum replication over all providers [7]
 - :class:`NCCloudScheme`     -- FMSR regenerating codes [16]
 - :class:`HyrdScheme`        -- this paper (alias of repro.core.HyRDClient)
+
+:func:`build_scheme` builds any of them by name over a Table II fleet.
 """
 
 from typing import Any
 
 from repro.schemes.base import DataUnavailable, Scheme
+from repro.schemes.builder import COC_SCHEMES, build_scheme
 from repro.schemes.depsky import DepSkyScheme
 from repro.schemes.depsky_ca import DepSkyCAScheme
 from repro.schemes.duracloud import DuraCloudScheme
@@ -34,6 +37,7 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module 'repro.schemes' has no attribute {name!r}")
 
 __all__ = [
+    "COC_SCHEMES",
     "DataUnavailable",
     "DepSkyCAScheme",
     "DepSkyScheme",
@@ -43,4 +47,5 @@ __all__ = [
     "RacsScheme",
     "Scheme",
     "SingleCloudScheme",
+    "build_scheme",
 ]

@@ -563,7 +563,7 @@ class Scheme(ABC):
         self.slo = slo
         slo.bind(self.registry, self.clock)
         for breaker in self._breakers.values():
-            breaker.listener = slo.on_breaker_transition
+            breaker.listeners.append(slo.on_breaker_transition)
 
     def attach_observatory(self, observatory) -> None:
         """Hook a :class:`~repro.obs.attribution.ProviderLoadObservatory` in.
@@ -2767,7 +2767,7 @@ class Scheme(ABC):
                 if codec is not None:
                     # The rewritten keys rebound to fresh buffers: the stale
                     # payload-cache entry must go before ids can be recycled.
-                    self._payload_cache.discard(f"{entry.path}#v{entry.version}")
+                    self._payload_cache.discard(storage_key(entry.path, entry.version))
                 for f, payload, outcome in zip(targets, payloads, phase.outcomes):
                     if outcome.ok:
                         self._record_digest(f.key, payload)

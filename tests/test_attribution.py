@@ -359,19 +359,9 @@ class TestTracedRuns:
         """The acceptance gate: every op in the deterministic fig3-scale
         replay decomposes with phase durations summing to its span duration
         (attribute_trace raises CoverageError on any real gap)."""
-        import importlib.util
-        from pathlib import Path
+        from repro.scenarios import fig3_replay
 
-        spec = importlib.util.spec_from_file_location(
-            "profile_replay",
-            Path(__file__).resolve().parent.parent / "tools" / "profile_replay.py",
-        )
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-
-        scheme, ops, replayer = mod.build_replay(
-            "hyrd", months=12, writes_per_month=12, seed=0, trace=True
-        )
+        scheme, ops, replayer = fig3_replay(0, trace=True)
         replayer.run(scheme, ops)
         report = attribute_trace(scheme.tracer.records)
         assert len(report.ops) >= len(ops) // 2

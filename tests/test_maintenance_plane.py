@@ -283,21 +283,6 @@ class TestMaintenancePlane:
         assert not plane.running
         scheme.attach_maintenance()  # re-attachable after detach
 
-    def test_detached_is_zero_cost_for_foreground(self):
-        # Attached-but-never-pumped must also be invisible: identical op
-        # streams, byte-identical reports.
-        results = []
-        for attach in (False, True):
-            scheme, _providers, contents = _duracloud()
-            if attach:
-                scheme.attach_maintenance()
-            for path, data in contents.items():
-                got, _ = scheme.get(path)
-                assert got == data
-            results.append([r for r in scheme.collector.reports])
-        baseline, attached = results
-        assert baseline == attached
-
     def test_tick_scrubs_and_repairs(self):
         scheme, providers, contents = _duracloud()
         path = sorted(contents)[0]
@@ -353,7 +338,7 @@ class TestMaintenancePlane:
         )
         plane.start()
         for breaker in scheme._breakers.values():
-            assert breaker.listener is not None
+            assert breaker.listeners == [plane._on_breaker_transition]
         plane._on_breaker_transition("azure", "open", 0.0)
         plane._on_breaker_transition("azure", "closed", 1.0)
         audits = plane.run_cycle()
@@ -361,7 +346,7 @@ class TestMaintenancePlane:
         assert len(audits) == len(contents) + 1
         plane.stop()
         for breaker in scheme._breakers.values():
-            assert breaker.listener is None  # original (unset) slot restored
+            assert breaker.listeners == []  # the plane removed its own listener
 
     def test_slo_listener_chain_preserved(self):
         from repro.obs import SloTracker
@@ -370,12 +355,39 @@ class TestMaintenancePlane:
         slo = SloTracker()
         scheme.attach_slo(slo)
         plane = scheme.attach_maintenance()
-        scheme._breakers["azure"].listener("azure", "open", 5.0)
+        scheme._breakers["azure"]._transition("open", 5.0)
         # Both the SLO tracker and the plane saw the transition.
         assert slo.provider("azure").observed.down_since == 5.0
         assert "azure" in plane._opened
         scheme.detach_maintenance()
-        assert scheme._breakers["azure"].listener == slo.on_breaker_transition
+        assert scheme._breakers["azure"].listeners == [slo.on_breaker_transition]
+
+    @pytest.mark.parametrize("slo_first", [True, False])
+    def test_slo_and_plane_attach_in_either_order(self, slo_first):
+        from repro.obs import SloTracker
+
+        scheme, _providers, _contents = _duracloud()
+        slo = SloTracker()
+        if slo_first:
+            scheme.attach_slo(slo)
+            plane = scheme.attach_maintenance()
+        else:
+            plane = scheme.attach_maintenance()
+            scheme.attach_slo(slo)
+        breaker = scheme._breakers["azure"]
+        breaker._transition("open", 5.0)
+        breaker._transition("closed", 65.0)
+        # Both saw the open→closed edge: the plane queued a targeted audit,
+        # the tracker closed an observed downtime interval.
+        assert plane._suspects == {"azure"}
+        assert slo.provider("azure").observed.down_since is None
+        downtime = slo.provider("azure").observed.intervals
+        assert downtime == [(5.0, 65.0)]
+        # Detaching the plane keeps the tracker's downtime feed.
+        scheme.detach_maintenance()
+        assert breaker.listeners == [slo.on_breaker_transition]
+        breaker._transition("open", 100.0)
+        assert slo.provider("azure").observed.down_since == 100.0
 
     def test_detection_score_requires_ledger(self):
         scheme, _providers, _contents = _duracloud()

@@ -11,33 +11,18 @@ import pytest
 
 from repro.cloud.provider import make_table2_cloud_of_clouds
 from repro.faults.ledger import inject_bit_rot, inject_loss
-from repro.schemes import (
-    DepSkyCAScheme,
-    DepSkyScheme,
-    DuraCloudScheme,
-    HyrdScheme,
-    NCCloudScheme,
-    RacsScheme,
-    SingleCloudScheme,
-)
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
 from repro.sim.rng import make_rng
 
 KB, MB = 1024, 1024 * 1024
 
-SCHEME_BUILDERS = {
-    "single": lambda p, c: SingleCloudScheme(p["aliyun"], c),
-    "duracloud": lambda p, c: DuraCloudScheme([p["amazon_s3"], p["azure"]], c),
-    "racs": lambda p, c: RacsScheme(list(p.values()), c),
-    "depsky": lambda p, c: DepSkyScheme(list(p.values()), c),
-    "depsky-ca": lambda p, c: DepSkyCAScheme(list(p.values()), c),
-    "nccloud": lambda p, c: NCCloudScheme(list(p.values()), c),
-    "hyrd": lambda p, c: HyrdScheme(list(p.values()), c),
-}
+#: every scheme; "single" is the single-cloud scheme on Aliyun
+SCHEMES = ("single", "duracloud", "racs", "depsky", "depsky-ca", "nccloud", "hyrd")
 
 #: schemes with a single placement cannot survive damaging it, so repair
 #: (which needs an intact source) is exercised only on redundant schemes
-REDUNDANT = [name for name in SCHEME_BUILDERS if name != "single"]
+REDUNDANT = [name for name in SCHEMES if name != "single"]
 
 # Two sizes so HyRD exercises both its replicated and striped pipelines.
 SIZES = {"/m/small": 24 * KB, "/m/large": 2 * MB}
@@ -46,7 +31,7 @@ SIZES = {"/m/small": 24 * KB, "/m/large": 2 * MB}
 def _build(name, seed=0):
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
-    scheme = SCHEME_BUILDERS[name](providers, clock)
+    scheme = build_scheme("aliyun" if name == "single" else name, providers, clock)
     rng = make_rng(seed, "verify-test", name)
     contents = {}
     for path, size in SIZES.items():
@@ -64,7 +49,7 @@ def _damage_site(scheme, providers, path):
     return providers[prov_name], key, prov_name
 
 
-@pytest.mark.parametrize("name", sorted(SCHEME_BUILDERS))
+@pytest.mark.parametrize("name", sorted(SCHEMES))
 class TestVerifyObject:
     def test_clean_namespace_zero_false_positives(self, name):
         scheme, _providers, contents = _build(name)

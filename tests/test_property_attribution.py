@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.core.config import HyRDConfig
 from repro.core.resilience import ResilienceConfig
 from repro.faults import (
     FaultProfile,
@@ -39,7 +38,7 @@ from repro.obs import (
     attributions_to_jsonl,
     parse_attribution_jsonl,
 )
-from repro.schemes import DuraCloudScheme, HyrdScheme, RacsScheme
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
 
 # --------------------------------------------------------------- synthetic
@@ -169,18 +168,7 @@ def test_jsonl_round_trip_is_byte_identical(records):
 
 # --------------------------------------------------------------- real runs
 
-SCHEMES = {
-    "hyrd": lambda p, c, t: HyrdScheme(
-        list(p.values()),
-        c,
-        config=HyRDConfig(resilience=ResilienceConfig(hedge_reads=True)),
-        tracer=t,
-    ),
-    "racs": lambda p, c, t: RacsScheme(list(p.values()), c, tracer=t),
-    "duracloud": lambda p, c, t: DuraCloudScheme(
-        [p["amazon_s3"], p["azure"]], c, tracer=t
-    ),
-}
+SCHEMES = ("duracloud", "hyrd", "racs")
 
 FAULTS = {
     "clean": lambda fleet, clock: None,
@@ -210,12 +198,14 @@ def _bind(fleet, name, profile):
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+@pytest.mark.parametrize("scheme_name", SCHEMES)
 def test_real_run_exact_coverage(scheme_name, fault):
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
     tracer = RecordingTracer(clock)
-    scheme = SCHEMES[scheme_name](fleet, clock, tracer)
+    # Hedged reads on HyRD only, so the hedge legs show up in its traces.
+    resilience = ResilienceConfig(hedge_reads=True) if scheme_name == "hyrd" else None
+    scheme = build_scheme(scheme_name, fleet, clock, resilience=resilience, tracer=tracer)
     FAULTS[fault](fleet, clock)
 
     rng = np.random.default_rng(0)

@@ -1,71 +1,64 @@
 """Property: attaching observation planes never changes what a scheme does.
 
-The tracer, SLO tracker, load observatory and intent journal are pure
-bookkeeping hooked into the scheme's op envelope.  For any subset of them,
-a run under random ops and outages must produce the same ``OpReport``
-trail, the same failures and the same final clock as a run with none
-attached — for every scheme, with hedged reads on and off.
+The tracer, SLO tracker, load observatory, intent journal and an idle
+maintenance plane are pure bookkeeping hooked into the scheme's op
+envelope; a read scheduler that was attached and then detached leaves no
+trace either.  For any subset of them, a run under random ops and outages
+must produce the same ``OpReport`` trail, the same failures and the same
+final clock as a run with none attached — for every scheme, with hedged
+reads on and off.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.outage import OutageWindow
-from repro.cloud.provider import make_table2_cloud_of_clouds
+from repro.cloud.provider import SINGLE_PROVIDERS, make_table2_cloud_of_clouds
 from repro.core.config import HyRDConfig
 from repro.core.resilience import ResilienceConfig
+from repro.core.scheduling import FragmentScheduler
 from repro.obs import ProviderLoadObservatory, RecordingTracer, SloTracker
-from repro.schemes import (
-    DepSkyCAScheme,
-    DepSkyScheme,
-    DuraCloudScheme,
-    HyrdScheme,
-    NCCloudScheme,
-    RacsScheme,
-    SingleCloudScheme,
-)
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
 
-PLANES = ("tracer", "slo", "observatory", "journal")
-PROVIDERS = ("amazon_s3", "azure", "aliyun", "rackspace")
+KB, MB = 1024, 1024 * 1024
 
-
-def _build(name, providers, clock, tracer, resilience):
-    fleet = list(providers.values())
-    if name in ("hyrd", "hyrd-rs"):
-        codec = "rs" if name == "hyrd-rs" else "raid5"
-        config = HyRDConfig(resilience=resilience, erasure_codec=codec)
-        return HyrdScheme(fleet, clock, config=config, tracer=tracer)
-    if name == "single":
-        return SingleCloudScheme(
-            providers["amazon_s3"], clock, resilience=resilience, tracer=tracer
-        )
-    if name == "duracloud":
-        fleet = [providers["amazon_s3"], providers["azure"]]
-    cls = {
-        "duracloud": DuraCloudScheme,
-        "racs": RacsScheme,
-        "depsky": DepSkyScheme,
-        "depsky-ca": DepSkyCAScheme,
-        "nccloud": NCCloudScheme,
-    }[name]
-    return cls(fleet, clock, resilience=resilience, tracer=tracer)
-
+#: ``maintenance`` is attached and never pumped; ``scheduler`` attaches the
+#: observatory and the scheduler, then detaches the scheduler
+PLANES = ("tracer", "slo", "observatory", "journal", "maintenance", "scheduler")
 
 op_steps = st.lists(
     st.tuples(
         st.sampled_from(["put", "get", "update", "remove", "stat", "listdir"]),
         st.integers(0, 2),  # file slot
-        st.integers(0, 40_000),  # size / patch size / offset
+        # size / patch size / offset; 2 MB puts take HyRD's striped path
+        st.one_of(st.integers(0, 40_000), st.just(2 * MB)),
         st.one_of(  # outage starting before this op: (provider, seconds)
-            st.none(), st.tuples(st.sampled_from(PROVIDERS), st.sampled_from([5.0, 600.0]))
+            st.none(),
+            st.tuples(st.sampled_from(SINGLE_PROVIDERS), st.sampled_from([5.0, 600.0])),
         ),
     ),
     min_size=2,
     max_size=10,
 )
+
+
+_STRIPED_STEPS = [
+    ("put", 0, 2 * MB, None),
+    ("put", 1, 2 * MB, None),
+    ("put", 2, 30_000, None),
+    ("get", 0, 0, None),
+    ("get", 1, 0, None),
+    ("get", 2, 0, None),
+    ("update", 0, 5, None),  # 5-byte patch at offset 5: same size
+    ("get", 0, 0, None),
+    ("remove", 1, 0, None),
+]
+_SMALL_STEPS = [("put", i, 16 * KB, None) for i in range(3)] + [
+    ("get", i, 0, None) for i in range(3)
+]
 
 
 def _run(name, steps, planes, hedge):
@@ -75,13 +68,28 @@ def _run(name, steps, planes, hedge):
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
     tracer = RecordingTracer(clock) if "tracer" in planes else None
-    scheme = _build(name, providers, clock, tracer, ResilienceConfig(hedge_reads=hedge))
+    # The trail golden (tests/test_scheme_trails.py) also runs "single", the
+    # single cloud on Amazon S3, and "hyrd-rs", HyRD striping with RS.
+    config = HyRDConfig(erasure_codec="rs") if name == "hyrd-rs" else None
+    scheme = build_scheme(
+        {"single": "amazon_s3", "hyrd-rs": "hyrd"}.get(name, name),
+        providers,
+        clock,
+        resilience=ResilienceConfig(hedge_reads=hedge),
+        tracer=tracer,
+        config=config,
+    )
     if "slo" in planes:
         scheme.attach_slo(SloTracker())
-    if "observatory" in planes:
+    if "observatory" in planes or "scheduler" in planes:
         scheme.attach_observatory(ProviderLoadObservatory())
+    if "scheduler" in planes:
+        scheme.attach_scheduler(FragmentScheduler())
+        scheme.detach_scheduler()
     if "journal" in planes:
         scheme.attach_journal()
+    if "maintenance" in planes:
+        scheme.attach_maintenance()
     rng = np.random.default_rng(0)
     raised = []
     for step, (kind, slot, size, outage) in enumerate(steps):
@@ -126,6 +134,13 @@ def _run(name, steps, planes, hedge):
     hedge=st.booleans(),
 )
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Striped puts, reads, a same-size update and a remove under: a detached
+# scheduler with hedging, an idle maintenance plane, the observatory with
+# the tracer, and an idle maintenance plane over small replicated files.
+@example(steps=_STRIPED_STEPS, planes={"scheduler"}, hedge=True)
+@example(steps=_STRIPED_STEPS, planes={"maintenance"}, hedge=False)
+@example(steps=_STRIPED_STEPS, planes={"observatory", "tracer"}, hedge=True)
+@example(steps=_SMALL_STEPS, planes={"maintenance"}, hedge=False)
 def test_attached_planes_leave_the_run_identical(scheme_name, steps, planes, hedge):
     bare = _run(scheme_name, steps, frozenset(), hedge)
     observed = _run(scheme_name, steps, planes, hedge)

@@ -14,26 +14,8 @@ from hypothesis import strategies as st
 
 from repro.cloud.outage import OutageWindow
 from repro.cloud.provider import make_table2_cloud_of_clouds
-from repro.schemes import (
-    DepSkyCAScheme,
-    DepSkyScheme,
-    DuraCloudScheme,
-    HyrdScheme,
-    NCCloudScheme,
-    RacsScheme,
-)
+from repro.schemes import build_scheme
 from repro.sim.clock import SimClock
-
-SCHEME_BUILDERS = {
-    "duracloud": lambda p, c: DuraCloudScheme(
-        [p["amazon_s3"], p["azure"]], c
-    ),
-    "racs": lambda p, c: RacsScheme(list(p.values()), c),
-    "depsky": lambda p, c: DepSkyScheme(list(p.values()), c),
-    "depsky-ca": lambda p, c: DepSkyCAScheme(list(p.values()), c),
-    "nccloud": lambda p, c: NCCloudScheme(list(p.values()), c),
-    "hyrd": lambda p, c: HyrdScheme(list(p.values()), c),
-}
 
 # The provider each scheme can afford to lose (within fault tolerance).
 TOLERABLE_LOSS = {
@@ -68,7 +50,7 @@ def _run_model(scheme_name, ops, outage_slots):
     """Run ops against the scheme and a dict model; compare at every get."""
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
-    scheme = SCHEME_BUILDERS[scheme_name](providers, clock)
+    scheme = build_scheme(scheme_name, providers, clock)
     lost = TOLERABLE_LOSS[scheme_name]
     rng = np.random.default_rng(0)
     model: dict[str, bytes] = {}
@@ -182,7 +164,7 @@ def _run_scheduled(scheme_name, ops, slow_factor):
 
     clock = SimClock()
     providers = make_table2_cloud_of_clouds(clock)
-    scheme = SCHEME_BUILDERS[scheme_name](providers, clock)
+    scheme = build_scheme(scheme_name, providers, clock)
     scheme.attach_observatory(ProviderLoadObservatory())
     scheme.attach_scheduler(FragmentScheduler())
     slow = TOLERABLE_LOSS[scheme_name]
@@ -246,7 +228,7 @@ class TestSchedulerDeterminism:
     the health EWMAs and the observatory queue estimates all evolve
     deterministically from the op sequence."""
 
-    @pytest.mark.parametrize("scheme_name", sorted(SCHEME_BUILDERS))
+    @pytest.mark.parametrize("scheme_name", sorted(TOLERABLE_LOSS))
     @given(ops=op_sequence(), slow_factor=st.sampled_from([2.0, 8.0]))
     @settings(
         max_examples=6,

@@ -151,26 +151,16 @@ def run_clean_scenario(seed: int) -> dict:
     """HyRD and the two headline baselines on a healthy Table II fleet."""
     from repro.cloud.provider import make_table2_cloud_of_clouds
     from repro.core.config import HyRDConfig
-    from repro.schemes import DuraCloudScheme, HyrdScheme, RacsScheme
+    from repro.schemes import build_scheme
     from repro.sim.clock import SimClock
     from repro.workloads.trace import TraceReplayer
 
     out: dict[str, dict] = {}
-    builders = {
-        "hyrd": lambda fleet, clock: HyrdScheme(
-            list(fleet.values()), clock, config=HyRDConfig(size_threshold=256 * KB)
-        ),
-        "duracloud": lambda fleet, clock: DuraCloudScheme(
-            list(fleet.values()), clock, seed=seed
-        ),
-        "racs": lambda fleet, clock: RacsScheme(
-            list(fleet.values()), clock, seed=seed
-        ),
-    }
-    for name, build in builders.items():
+    for name in ("hyrd", "duracloud", "racs"):
         clock = SimClock()
         fleet = make_table2_cloud_of_clouds(clock)
-        scheme = build(fleet, clock)
+        config = HyRDConfig(size_threshold=256 * KB) if name == "hyrd" else None
+        scheme = build_scheme(name, fleet, clock, seed=seed, config=config)
         TraceReplayer(seed=seed).run(scheme, _clean_workload(seed))
         out[name] = _scheme_metrics(scheme)
     return out
@@ -178,33 +168,10 @@ def run_clean_scenario(seed: int) -> dict:
 
 def run_storm_scenario(seed: int) -> dict:
     """HyRD through the canonical fault storm (same run as ``repro report``)."""
-    from repro.obs.report import run_fault_storm_report
+    from repro.scenarios import fault_storm
 
-    report, _ = run_fault_storm_report(seed=seed, trace=False)
-    from repro.metrics.registry import Histogram
-
-    ops: dict[str, dict] = {}
-    for m in report.registry.all_metrics():
-        if isinstance(m, Histogram) and m.name == "op_latency_seconds":
-            op = dict(m.labels).get("op", "?")
-            s = m.summary()
-            ops[op] = {
-                "count": int(s["count"]),
-                "mean": s["mean"],
-                "p50": s["p50"],
-                "p95": s["p95"],
-                "p99": s["p99"],
-                "max": s["max"],
-            }
-    split = report.registry.breakdown("ops_total", "op", "degraded")
-    degraded = sum(v for (_, flag), v in split.items() if flag == "true")
-    total = sum(split.values())
-    return {
-        "hyrd": {
-            "ops": dict(sorted(ops.items())),
-            "degraded_fraction": degraded / total if total else 0.0,
-        }
-    }
+    scheme, _ = fault_storm(seed)
+    return {"hyrd": _scheme_metrics(scheme)}
 
 
 def run_availability() -> dict:
@@ -335,40 +302,32 @@ def run_replay_throughput(seed: int) -> tuple[dict, dict]:
 
     import numpy as np
 
-    from repro.analysis.experiments import run_fig3
-    from repro.cloud.provider import make_table2_cloud_of_clouds
-    from repro.schemes import HyrdScheme
-    from repro.sim.clock import SimClock
-    from repro.workloads.trace import TraceReplayer
+    from repro.scenarios import fig3_replay
 
-    ops = run_fig3(seed=seed).ops
-
-    def once() -> tuple[float, float, float]:
-        clock = SimClock()
-        providers = make_table2_cloud_of_clouds(clock)
-        scheme = HyrdScheme(list(providers.values()), clock)
+    def once() -> tuple[float, tuple[int, float, float]]:
+        scheme, ops, replayer = fig3_replay(seed)
         t0 = time.perf_counter()
-        collector = TraceReplayer(seed=seed).run(scheme, ops)
+        collector = replayer.run(scheme, ops)
         wall = time.perf_counter() - t0
         samples = [
             r.elapsed for r in collector.reports if r.op not in ("heal", "promote")
         ]
-        return wall, float(np.mean(samples)), clock.now
+        return wall, (len(ops), float(np.mean(samples)), scheme.clock.now)
 
     walls: list[float] = []
-    simulated: set[tuple[float, float]] = set()
+    simulated: set[tuple[int, float, float]] = set()
     for _ in range(4):  # warmup + 3 measured
-        wall, mean_lat, sim_elapsed = once()
+        wall, outputs = once()
         walls.append(wall)
-        simulated.add((mean_lat, sim_elapsed))
+        simulated.add(outputs)
         gc.collect()
     if len(simulated) != 1:
         raise AssertionError("replay simulated results drifted between trials")
-    (mean_lat, sim_elapsed), = simulated
-    ops_per_sec = len(ops) / min(walls[1:])
+    (trace_ops, mean_lat, sim_elapsed), = simulated
+    ops_per_sec = trace_ops / min(walls[1:])
     deterministic = {
         "fig3_replay": {
-            "trace_ops": len(ops),
+            "trace_ops": trace_ops,
             "mean_access_latency_s": mean_lat,
             "simulated_elapsed_s": sim_elapsed,
         }
@@ -439,71 +398,19 @@ READ_SCHEDULING_FIELDS = (
 def run_read_scheduling_facet(seed: int) -> dict:
     """Scheduled vs static striped reads under skew — all simulated-time.
 
-    A reduced-scale copy of the ``benchmarks/test_read_scheduling.py``
-    scenario: Zipf-skewed reads of striped files against a fleet whose two
-    systematic fragment holders are saturated and browned out, run once
-    with the scheduler + load observatory attached and once static.  Both
+    :func:`repro.scenarios.skewed_reads` at telemetry scale (6 files, 60
+    reads; ``benchmarks/test_read_scheduling.py`` runs 8 and 120), once with
+    the scheduler + load observatory attached and once static.  Both
     throughputs are simulated ops/s (sim-clock arithmetic, bit-for-bit
     reproducible), and the subset-choice histogram records exactly which
     provider subsets served the workload — the routing behaviour itself is
     what the drift gate freezes.
     """
-    import numpy as np
+    from repro.scenarios import skewed_reads
 
-    from repro.cloud.provider import make_table2_cloud_of_clouds
-    from repro.core.config import HyRDConfig
-    from repro.core.scheduling import FragmentScheduler
-    from repro.faults import FaultProfile, LatencyBrownout
-    from repro.obs import ProviderLoadObservatory
-    from repro.schemes import HyrdScheme
-    from repro.sim.clock import SimClock
-    from repro.sim.rng import make_rng
-
-    files, reads = 6, 60
-
-    def once(schedule: bool):
-        clock = SimClock()
-        providers = make_table2_cloud_of_clouds(clock)
-        # Promotion off: a promoted full copy would route around the
-        # stripe for scheduler and static alike.
-        scheme = HyrdScheme(
-            list(providers.values()),
-            clock,
-            config=HyRDConfig(hot_file_threshold=0),
-        )
-        if schedule:
-            scheme.attach_observatory(ProviderLoadObservatory())
-            scheme.attach_scheduler(FragmentScheduler())
-        rng = make_rng(seed, "bench-read-sched")
-        payloads = {}
-        for i in range(files):
-            data = rng.integers(0, 256, 2 * MB, dtype="uint8").tobytes()
-            scheme.put(f"/s/f{i}", data)
-            payloads[i] = data
-        placements = dict(
-            (idx, prov) for prov, idx in scheme.namespace.get("/s/f0").placements
-        )
-        horizon = clock.now + 1e9
-        providers[placements[0]].faults = FaultProfile(
-            [LatencyBrownout(clock.now, horizon, rtt_factor=10.0, bw_factor=0.05)]
-        ).bind(placements[0])
-        providers[placements[1]].faults = FaultProfile(
-            [LatencyBrownout(clock.now, horizon, rtt_factor=2.0, bw_factor=0.5)]
-        ).bind(placements[1])
-        weights = np.array([1.0 / (i + 1) ** 1.2 for i in range(files)])
-        sequence = rng.choice(files, size=reads, p=weights / weights.sum())
-        t0 = clock.now
-        histogram: dict[str, int] = {}
-        for j in sequence:
-            data, report = scheme.get(f"/s/f{j}")
-            if data != payloads[j]:
-                raise AssertionError("scheduled read returned wrong bytes")
-            key = "+".join(sorted(report.providers))
-            histogram[key] = histogram.get(key, 0) + 1
-        return reads / (clock.now - t0), scheme, histogram
-
-    scheduled, scheme, histogram = once(True)
-    static, _, _ = once(False)
+    reads = 60
+    scheduled, scheme, histogram = skewed_reads(True, seed=seed, files=6, reads=reads)
+    static, _, _ = skewed_reads(False, seed=seed, files=6, reads=reads)
     if scheduled <= static:
         raise AssertionError(
             f"scheduled {scheduled:.3f} ops/s did not beat static {static:.3f}"
@@ -640,23 +547,17 @@ def run_attribution_facet(seed: int) -> dict:
       ``hedge_wait``/waste books would be zero everywhere and silently
       ungated.
     """
-    from repro.analysis.experiments import run_fig3
     from repro.cloud.provider import make_table2_cloud_of_clouds
-    from repro.core.config import HyRDConfig
     from repro.core.resilience import ResilienceConfig
     from repro.faults import FaultProfile, LatencyBrownout
     from repro.obs import PHASES, RecordingTracer, attribute_trace
-    from repro.schemes import HyrdScheme
+    from repro.scenarios import fig3_replay
+    from repro.schemes import build_scheme
     from repro.sim.clock import SimClock
-    from repro.workloads.trace import TraceReplayer
 
-    ops = run_fig3(seed=seed).ops
-    clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    tracer = RecordingTracer(clock)
-    scheme = HyrdScheme(list(providers.values()), clock, tracer=tracer)
-    TraceReplayer(seed=seed).run(scheme, ops)
-    report = attribute_trace(tracer.records)  # raises CoverageError on a gap
+    scheme, ops, replayer = fig3_replay(seed, trace=True)
+    replayer.run(scheme, ops)
+    report = attribute_trace(scheme.tracer.records)  # raises CoverageError on a gap
     fig3 = {
         "ops_attributed": len(report.ops),
         "phase_seconds": report.totals(),
@@ -666,10 +567,12 @@ def run_attribution_facet(seed: int) -> dict:
     clock = SimClock()
     fleet = make_table2_cloud_of_clouds(clock)
     tracer = RecordingTracer(clock)
-    scheme = HyrdScheme(
-        list(fleet.values()),
+    scheme = build_scheme(
+        "hyrd",
+        fleet,
         clock,
-        config=HyRDConfig(resilience=ResilienceConfig(hedge_reads=True)),
+        seed=seed,
+        resilience=ResilienceConfig(hedge_reads=True),
         tracer=tracer,
     )
     scheme.put("/bench/hedge", bytes(64 * KB))

@@ -29,46 +29,6 @@ if str(ROOT / "src") not in sys.path:  # allow running without PYTHONPATH=src
     sys.path.insert(0, str(ROOT / "src"))
 
 
-def build_replay(
-    scheme_name: str,
-    months: int,
-    writes_per_month: int,
-    seed: int,
-    trace: bool = False,
-):
-    """Construct (scheme, ops, replayer) for one scripted replay.
-
-    ``trace`` attaches a :class:`~repro.obs.trace.RecordingTracer` — used by
-    ``--attribution`` (and the attribution test suite), never by the timed
-    profiling run.
-    """
-    from repro.analysis.experiments import run_fig3
-    from repro.cloud.provider import make_table2_cloud_of_clouds
-    from repro.obs import RecordingTracer
-    from repro.schemes import DuraCloudScheme, HyrdScheme, RacsScheme
-    from repro.sim.clock import SimClock
-    from repro.workloads.filesizes import MediaLibraryFileSizes
-    from repro.workloads.ia_trace import IATraceConfig
-    from repro.workloads.trace import TraceReplayer
-
-    config = IATraceConfig(
-        months=months,
-        writes_per_month=writes_per_month,
-        sizes=MediaLibraryFileSizes(scale=0.125),
-    )
-    ops = run_fig3(seed=seed, config=config).ops
-    clock = SimClock()
-    providers = make_table2_cloud_of_clouds(clock)
-    builders = {
-        "hyrd": HyrdScheme,
-        "racs": RacsScheme,
-        "duracloud": DuraCloudScheme,
-    }
-    tracer = RecordingTracer(clock) if trace else None
-    scheme = builders[scheme_name](list(providers.values()), clock, tracer=tracer)
-    return scheme, ops, TraceReplayer(seed=seed)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -110,9 +70,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    scheme, ops, replayer = build_replay(
-        args.scheme, args.months, args.writes_per_month, args.seed
+    from repro.scenarios import fig3_replay
+    from repro.workloads.filesizes import MediaLibraryFileSizes
+    from repro.workloads.ia_trace import IATraceConfig
+
+    config = IATraceConfig(
+        months=args.months,
+        writes_per_month=args.writes_per_month,
+        sizes=MediaLibraryFileSizes(scale=0.125),
     )
+    scheme, ops, replayer = fig3_replay(args.seed, scheme=args.scheme, config=config)
     print(
         f"profile-replay: {len(ops)} ops through {args.scheme} "
         f"(months={args.months}, writes/month={args.writes_per_month}, "
@@ -140,8 +107,8 @@ def main(argv: list[str] | None = None) -> int:
         # overhead pollute the profile.  Same seed, so it is the same run.
         from repro.obs import attribute_trace, render_attribution
 
-        scheme, ops, replayer = build_replay(
-            args.scheme, args.months, args.writes_per_month, args.seed, trace=True
+        scheme, ops, replayer = fig3_replay(
+            args.seed, scheme=args.scheme, trace=True, config=config
         )
         replayer.run(scheme, ops)
         print()
